@@ -5,7 +5,9 @@
 # race-clean. The second -race leg re-runs the parallel-core tests (the
 # conservative-horizon device and the parallel experiment identity check)
 # with -count=1, so they execute fresh even when the full-suite run above
-# was served from the test cache.
+# was served from the test cache. The benchmark in perfbench/ is its own
+# module, outside `go test ./...`, so check vets and tests it separately and
+# then runs a 2-second cluster-mixed smoke that must report a correct run.
 
 GO ?= go
 
@@ -23,6 +25,8 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestConcurrent|TestSimThroughputParallelIdentical' \
 		./internal/ssd ./internal/experiments
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload cluster-mixed --seconds 2 | grep -q '"correct":true'
 	$(MAKE) smoke
 	$(MAKE) storm
 

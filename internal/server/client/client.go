@@ -38,10 +38,7 @@ var (
 // whatever order the server completes them.
 type Client struct {
 	nc net.Conn
-
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
-	buf []byte
+	w  *server.ConnWriter // batches frames onto the socket in Start order
 
 	pmu     sync.Mutex
 	pending map[uint64]chan server.Response
@@ -52,7 +49,8 @@ type Client struct {
 
 	// led, when set, receives one HopClient record per traced frame sent:
 	// the wall-clock time the frame spent waiting for the connection's write
-	// path (pipeline contention) plus the serialization itself.
+	// lock (pipeline contention) plus encoding it into the pending buffer.
+	// The socket write happens afterwards, off the caller.
 	led *telemetry.Ledger
 
 	readerDone chan struct{}
@@ -71,19 +69,24 @@ func Dial(addr string) (*Client, error) {
 func New(nc net.Conn) *Client {
 	c := &Client{
 		nc:         nc,
-		bw:         bufio.NewWriterSize(nc, 64<<10),
 		pending:    make(map[uint64]chan server.Response),
 		readerDone: make(chan struct{}),
 	}
+	// A socket write error surfaces on the writer's goroutine, after Start
+	// returned: fail the connection there so every in-flight call resolves.
+	c.w = server.NewConnWriter(nc, func(err error) {
+		c.fail(fmt.Errorf("%w: %w", ErrConnLost, err))
+	})
 	go c.readLoop()
 	return c
 }
 
 // Close tears the connection down. In-flight calls fail with the connection
-// error. Safe to call more than once.
+// error; frames not yet written are dropped. Safe to call more than once.
 func (c *Client) Close() error {
 	c.fail(ErrClosed)
 	err := c.nc.Close()
+	c.w.Close()
 	<-c.readerDone
 	return err
 }
@@ -98,8 +101,10 @@ func (c *Client) Err() error {
 
 // SetLedger attaches (or, with nil, detaches) a hop ledger. For every frame
 // sent with FlagTrace and a nonzero trace ID, Start records a HopClient
-// entry timing the client-side pipeline wait on the wall clock. Call before
-// issuing traced requests.
+// entry timing, on the wall clock, the wait for the connection's write lock
+// plus the frame's encoding. The socket write itself is batched onto the
+// writer goroutine and is not part of the hop. Call before issuing traced
+// requests.
 func (c *Client) SetLedger(l *telemetry.Ledger) {
 	c.pmu.Lock()
 	c.led = l
@@ -217,17 +222,7 @@ func (c *Client) Start(f server.Frame) (*Call, error) {
 	if traced {
 		t0 = time.Now()
 	}
-	c.wmu.Lock()
-	var err error
-	c.buf, err = server.AppendFrame(c.buf[:0], f)
-	if err == nil {
-		if _, werr := c.bw.Write(c.buf); werr != nil {
-			err = werr
-		} else if ferr := c.bw.Flush(); ferr != nil {
-			err = ferr
-		}
-	}
-	c.wmu.Unlock()
+	err := c.w.WriteFrame(f)
 	if traced && err == nil {
 		led.Record(telemetry.HopRecord{
 			Trace: f.Trace, Hop: telemetry.HopClient, Parent: telemetry.HopNone,

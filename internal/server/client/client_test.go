@@ -1,10 +1,13 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,6 +244,168 @@ func TestClientConnLostFailsInFlight(t *testing.T) {
 		t.Fatal("in-flight calls hung after the connection died")
 	}
 
+	if err := c.Err(); !errors.Is(err, ErrConnLost) {
+		t.Fatalf("Err() = %v, want ErrConnLost", err)
+	}
+	if _, err := c.Start(server.Frame{Op: server.OpPing}); !errors.Is(err, ErrConnLost) {
+		t.Fatalf("Start after loss = %v, want ErrConnLost", err)
+	}
+}
+
+// gatedConn wraps a net.Conn so each Write announces itself on entered and
+// then blocks until the test sends on gate. Writes are counted.
+type gatedConn struct {
+	net.Conn
+	entered chan struct{}
+	gate    chan struct{}
+	writes  atomic.Int64
+}
+
+func (g *gatedConn) Write(b []byte) (int, error) {
+	g.writes.Add(1)
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.Conn.Write(b)
+}
+
+// TestClientCoalescesFrames: frames started while a socket write is in
+// progress leave in one batch. One frame is held in the first Write, 31 more
+// start behind it, and releasing the gate takes exactly one more Write —
+// with the peer decoding all 32 frames in Start order.
+func TestClientCoalescesFrames(t *testing.T) {
+	local, peer := net.Pipe()
+	defer peer.Close()
+	gc := &gatedConn{Conn: local, entered: make(chan struct{}, 8), gate: make(chan struct{})}
+	c := New(gc)
+	defer c.Close()
+	defer close(gc.gate) // never leave the writer parked in Write
+
+	const frames = 32
+	got := make(chan server.Frame, frames)
+	go func() {
+		br := bufio.NewReader(peer)
+		for {
+			f, _, err := server.ReadFrame(br)
+			if err != nil {
+				close(got)
+				return
+			}
+			got <- f
+		}
+	}()
+
+	if _, err := c.Start(server.Frame{Op: server.OpRead, LPN: 0}); err != nil {
+		t.Fatal(err)
+	}
+	<-gc.entered // the first frame is now held inside Write
+	for i := 1; i < frames; i++ {
+		if _, err := c.Start(server.Frame{Op: server.OpRead, LPN: int64(i)}); err != nil {
+			t.Fatalf("start %d: %v", i, err)
+		}
+	}
+	gc.gate <- struct{}{}
+	<-gc.entered // the 31 queued frames, as one batch
+	gc.gate <- struct{}{}
+	for i := 0; i < frames; i++ {
+		f, ok := <-got
+		if !ok {
+			t.Fatalf("peer decoded %d frames, want %d", i, frames)
+		}
+		if f.ID != uint64(i+1) || f.LPN != int64(i) {
+			t.Fatalf("frame %d decoded as id %d lpn %d", i, f.ID, f.LPN)
+		}
+	}
+	if n := gc.writes.Load(); n != 2 {
+		t.Fatalf("%d socket writes for %d frames, want 2", n, frames)
+	}
+}
+
+// failingConn fails every Write once broken is set.
+type failingConn struct {
+	net.Conn
+	mu     sync.Mutex
+	broken bool
+}
+
+func (f *failingConn) Write(b []byte) (int, error) {
+	f.mu.Lock()
+	broken := f.broken
+	f.mu.Unlock()
+	if broken {
+		return 0, errors.New("write side died")
+	}
+	return f.Conn.Write(b)
+}
+
+// TestClientWriteSideDiesMidPipeline: a socket write error surfaces after
+// Start returned, on the writer's goroutine. It must still fail the
+// connection with ErrConnLost and resolve every in-flight call — those
+// already on the wire and those queued behind the failed write.
+func TestClientWriteSideDiesMidPipeline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvConn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvConn.Close()
+	fc := &failingConn{Conn: nc}
+	c := New(fc)
+	defer c.Close()
+
+	// A first half the peer receives but never answers.
+	const half = 16
+	var calls []*Call
+	for i := 0; i < half; i++ {
+		call, err := c.Start(server.Frame{Op: server.OpWrite, LPN: int64(i), Payload: []byte("sent")})
+		if err != nil {
+			t.Fatalf("start %d: %v", i, err)
+		}
+		calls = append(calls, call)
+	}
+	br := bufio.NewReader(srvConn)
+	for i := 0; i < half; i++ {
+		if _, _, err := server.ReadFrame(br); err != nil {
+			t.Fatalf("peer frame %d: %v", i, err)
+		}
+	}
+
+	// The write side dies; the second half is queued behind the failure.
+	fc.mu.Lock()
+	fc.broken = true
+	fc.mu.Unlock()
+	for i := half; i < 2*half; i++ {
+		call, err := c.Start(server.Frame{Op: server.OpWrite, LPN: int64(i), Payload: []byte("doomed")})
+		if err != nil {
+			if !errors.Is(err, ErrConnLost) {
+				t.Fatalf("start %d after write failure: %v, want ErrConnLost", i, err)
+			}
+			continue
+		}
+		calls = append(calls, call)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, call := range calls {
+			if _, err := call.Wait(); !errors.Is(err, ErrConnLost) {
+				t.Errorf("call %d: error %v, want ErrConnLost", i, err)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("in-flight calls hung after the write side died")
+	}
 	if err := c.Err(); !errors.Is(err, ErrConnLost) {
 		t.Fatalf("Err() = %v, want ErrConnLost", err)
 	}

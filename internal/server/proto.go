@@ -1,7 +1,8 @@
 // Package server exports the simulated SSD over TCP: a compact
 // length-prefixed binary protocol (READ / WRITE / TRIM / FLUSH / STAT /
-// PING) in front of ssd.ConcurrentDevice, with per-connection reader/writer
-// goroutine pairs, a shared admission controller (global and per-connection
+// PING) in front of ssd.ConcurrentDevice, with three long-lived goroutines
+// per connection (reader, device handler, batching ConnWriter), a shared
+// admission controller (global and per-connection
 // in-flight caps, backpressure that stalls socket reads instead of buffering
 // unboundedly, per-request admission deadlines) and graceful drain on
 // shutdown. The matching pipelining client lives in server/client; the CLI

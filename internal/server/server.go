@@ -335,9 +335,10 @@ func (s *Server) startConn(nc net.Conn) {
 		s.met.connsEver.Inc()
 	}
 	c := &conn{
-		srv: s,
-		nc:  nc,
-		out: make(chan Response, s.cfg.MaxPerConn+8),
+		srv:  s,
+		nc:   nc,
+		w:    NewConnWriter(nc, nil),
+		work: make(chan Frame, s.cfg.MaxPerConn),
 	}
 	c.cond = sync.NewCond(&c.lmu)
 	go c.run()
@@ -397,36 +398,41 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// conn is one client connection: a reader goroutine decoding frames and
-// admitting requests, a writer goroutine encoding responses, and a bounded
-// set of in-flight handler goroutines between them.
+// conn is one client connection, served by three long-lived goroutines: a
+// reader decoding frames and admitting requests, a handler submitting the
+// admitted ones to the device in admission order, and the ConnWriter's
+// goroutine batching responses onto the socket.
 type conn struct {
-	srv *Server
-	nc  net.Conn
-	out chan Response
+	srv  *Server
+	nc   net.Conn
+	w    *ConnWriter
+	work chan Frame // admitted frames; never full, in-flight is capped at MaxPerConn
 
 	lmu      sync.Mutex
 	cond     *sync.Cond
 	inFlight int // local in-flight, capped at MaxPerConn
 
-	handlers sync.WaitGroup
+	// pending counts admitted requests not yet answered: queued for the
+	// handler, in the device, or waiting on a paced-delivery timer.
+	pending sync.WaitGroup
 }
 
-// run executes the connection lifecycle: writer in the background, reader in
-// the foreground, then the drain-and-close sequence.
+// run executes the connection lifecycle: handler in the background, reader
+// in the foreground, then the drain-and-close sequence.
 func (c *conn) run() {
 	defer c.srv.forgetConn(c.nc)
-	writerDone := make(chan struct{})
+	handlerDone := make(chan struct{})
 	go func() {
-		defer close(writerDone)
-		c.writer()
+		defer close(handlerDone)
+		c.handler()
 	}()
 	c.reader()
-	// Every accepted frame either responded already or has a handler in
-	// flight; wait for them, then let the writer flush and exit.
-	c.handlers.Wait()
-	close(c.out)
-	<-writerDone
+	// Every accepted frame either responded already or is still pending;
+	// wait for them, then flush the responses and stop the writer.
+	close(c.work)
+	<-handlerDone
+	c.pending.Wait()
+	c.w.Close()
 	// Graceful TCP teardown: FIN our side, then drain whatever the client
 	// had in flight toward us so the close cannot RST responses still
 	// sitting in the client's receive buffer.
@@ -562,8 +568,8 @@ func (c *conn) reader() {
 					t.mAccepted.Inc()
 				}
 			}
-			c.handlers.Add(1)
-			go c.handle(f)
+			c.pending.Add(1)
+			c.work <- f
 		}
 	}
 }
@@ -605,9 +611,20 @@ func (s *Server) rebaseTenant(f *Frame) (string, bool) {
 	return "", true
 }
 
-// handle submits one admitted request to the device and responds.
+// handler submits admitted requests to the device one at a time. The device
+// serializes submissions under its own lock, so one goroutine per connection
+// loses no device parallelism — and, living as long as the connection, it
+// grows its stack once instead of once per request.
+func (c *conn) handler() {
+	for f := range c.work {
+		c.handle(f)
+	}
+}
+
+// handle submits one admitted request to the device and responds — at once,
+// or for a paced server from a timer, so paced delays overlap like a real
+// device's queue. The admission slot is held until the response is queued.
 func (c *conn) handle(f Frame) {
-	defer c.handlers.Done()
 	s := c.srv
 	req := ssd.Request{LPN: f.LPN, Arrival: f.Arrival, Trace: f.Trace, Tenant: int(f.Tenant)}
 	switch f.Op {
@@ -642,12 +659,19 @@ func (c *conn) handle(f Frame) {
 		if s.cfg.Pace > 0 {
 			us := comp.Latency * s.cfg.Pace
 			s.pacedSlept.Add(uint64(us))
-			time.Sleep(time.Duration(us * float64(time.Microsecond)))
+			time.AfterFunc(time.Duration(us*float64(time.Microsecond)), func() { c.complete(f, resp) })
+			return
 		}
 	}
+	c.complete(f, resp)
+}
+
+// complete answers one admitted request and frees its slots.
+func (c *conn) complete(f Frame, resp Response) {
 	c.respond(resp)
-	s.adm.release(int(f.Tenant))
+	c.srv.adm.release(int(f.Tenant))
 	c.releaseLocal()
+	c.pending.Done()
 }
 
 // recordDeviceHops splits one completion into the ledger's device hops:
@@ -696,49 +720,16 @@ func (s *Server) recordDeviceHops(f Frame, comp ssd.Completion, err error) {
 	led.Record(sv)
 }
 
-// writer encodes responses in completion order. After a write error it keeps
-// draining the channel (discarding) so handlers can never block on a dead
-// connection.
-func (c *conn) writer() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	var buf []byte
-	var dead bool
-	for r := range c.out {
-		if dead {
-			continue
-		}
-		var err error
-		buf, err = AppendResponse(buf[:0], r)
-		if err != nil {
-			// Unencodable response (oversized payload): degrade to an
-			// internal error so the client still gets an answer for the ID.
-			buf, _ = AppendResponse(buf[:0], Response{
-				Status: StatusInternal, ID: r.ID, Payload: []byte(err.Error()),
-			})
-		}
-		if _, err := bw.Write(buf); err != nil {
-			dead = true
-			continue
-		}
-		c.srv.addBytesOut(uint64(len(buf)))
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				dead = true
-			}
-		}
-	}
-	if !dead {
-		bw.Flush()
-	}
-}
-
-// respond enqueues one response and counts it.
+// respond queues one response on the connection's writer and counts it.
+// After a socket error the writer discards it without blocking.
 func (c *conn) respond(r Response) {
 	c.srv.responses.Add(1)
 	if c.srv.met != nil {
 		c.srv.met.responses.Inc()
 	}
-	c.out <- r
+	if n, err := c.w.WriteResponse(r); err == nil {
+		c.srv.addBytesOut(uint64(n))
+	}
 }
 
 // acquireLocal blocks while the connection is at its in-flight cap —

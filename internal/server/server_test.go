@@ -215,6 +215,47 @@ func TestServerPace(t *testing.T) {
 	}
 }
 
+// TestServerPacedResponsesOverlap: paced delays run concurrently, like a
+// real device's queue — 16 reads pipelined on one connection finish in well
+// under the sum of their paced sleeps. A server that slept inline on the
+// connection's handler would take the whole sum.
+func TestServerPacedResponsesOverlap(t *testing.T) {
+	dev := testDevice(t)
+	// Write enough pages directly to push the early ones out of the
+	// super-word-line buffer, so reads pay a real flash read to pace against.
+	for i := 0; i < 48; i++ {
+		if _, err := dev.Submit(ssd.Request{Kind: ssd.OpWrite, LPN: int64(i), Data: []byte("paced page")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, addr := startServer(t, dev, Config{Pace: 20})
+	c := dialRaw(t, addr)
+	const reads = 16
+	start := time.Now()
+	for i := 0; i < reads; i++ {
+		if err := c.send(Frame{Op: OpRead, ID: uint64(i + 1), LPN: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < reads; i++ {
+		r, err := c.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != StatusOK {
+			t.Fatalf("read %d: %v", r.ID, r.Status)
+		}
+	}
+	wall := time.Since(start)
+	slept := time.Duration(srv.pacedSlept.Load()) * time.Microsecond
+	if slept < 20*time.Millisecond {
+		t.Fatalf("paced only %v over %d reads; too little to measure overlap", slept, reads)
+	}
+	if wall >= slept/2 {
+		t.Fatalf("wall %v for %v of paced sleep: paced responses did not overlap", wall, slept)
+	}
+}
+
 func TestServerMetricsWired(t *testing.T) {
 	dev := testDevice(t)
 	reg := telemetry.New()

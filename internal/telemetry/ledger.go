@@ -25,8 +25,10 @@ type Hop uint8
 // and the Chrome export list hops in this order.
 const (
 	// HopClient is the client-side pipeline wait: the wall time a frame
-	// spent serialized behind earlier frames on its connection. Wall-clock
-	// only — the client has no simulated clock.
+	// spent waiting for its connection's write lock plus encoding it into
+	// the pending buffer. The socket write happens afterwards, batched on
+	// the connection's writer goroutine, and is not part of the hop.
+	// Wall-clock only — the client has no simulated clock.
 	HopClient Hop = iota
 	// HopProxy is one replica leg of a volume scatter/gather fan-out. Its
 	// simulated duration is the leg's device-reported latency; its wall

@@ -102,7 +102,12 @@ func (p *Proxy) startConn(nc net.Conn) {
 	p.mu.Unlock()
 	p.connsNow.Add(1)
 	p.connsEver.Add(1)
-	c := &proxyConn{p: p, nc: nc, out: make(chan server.Response, p.cfg.MaxPerConn+8)}
+	c := &proxyConn{
+		p:    p,
+		nc:   nc,
+		w:    server.NewConnWriter(nc, nil),
+		jobs: make(chan proxyJob, p.cfg.MaxPerConn),
+	}
 	c.cond = sync.NewCond(&c.lmu)
 	go c.run()
 }
@@ -154,31 +159,39 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 }
 
 // proxyConn mirrors the server's connection lifecycle: a reader admitting
-// frames, a writer encoding responses in completion order, and in-flight
-// handler goroutines between them.
+// frames, a pool of workers completing volume calls, and the shared
+// ConnWriter batching responses onto the socket. All of them live as long
+// as the connection.
 type proxyConn struct {
-	p   *Proxy
-	nc  net.Conn
-	out chan server.Response
+	p    *Proxy
+	nc   net.Conn
+	w    *server.ConnWriter
+	jobs chan proxyJob // started calls; never full, in-flight is capped at MaxPerConn
 
 	lmu      sync.Mutex
 	cond     *sync.Cond
 	inFlight int
 
-	handlers sync.WaitGroup
+	// The worker pool grows on demand up to MaxPerConn: a call is waiting
+	// on its backends, so a worker parks per outstanding call. workers is
+	// touched only by the reader; idle counts workers parked on jobs.
+	workers int
+	idle    atomic.Int64
+	pool    sync.WaitGroup
+}
+
+// proxyJob is one started volume call awaiting completion.
+type proxyJob struct {
+	id uint64
+	ca *Call
 }
 
 func (c *proxyConn) run() {
 	defer c.p.forgetConn(c.nc)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writer()
-	}()
 	c.reader()
-	c.handlers.Wait()
-	close(c.out)
-	<-writerDone
+	close(c.jobs)
+	c.pool.Wait()
+	c.w.Close()
 	if tc, ok := c.nc.(*net.TCPConn); ok {
 		tc.CloseWrite()
 		c.nc.SetReadDeadline(time.Now().Add(time.Second))
@@ -245,8 +258,7 @@ func (c *proxyConn) reader() {
 				c.respond(server.Response{Status: server.StatusBadRequest, ID: f.ID, Payload: []byte(err.Error())})
 				continue
 			}
-			c.handlers.Add(1)
-			go c.finish(f.ID, ca)
+			c.dispatch(proxyJob{id: f.ID, ca: ca})
 		}
 	}
 }
@@ -270,47 +282,43 @@ func (c *proxyConn) startOp(f server.Frame) (*Call, error) {
 	}
 }
 
-func (c *proxyConn) finish(id uint64, ca *Call) {
-	defer c.handlers.Done()
-	r, err := ca.Wait()
-	if err != nil {
-		r = server.Response{Status: server.StatusInternal, Payload: []byte(err.Error())}
+// dispatch hands a started call to the worker pool, adding a worker when
+// more calls are queued than workers are parked waiting for one.
+func (c *proxyConn) dispatch(j proxyJob) {
+	c.jobs <- j
+	if c.workers < c.p.cfg.MaxPerConn && int(c.idle.Load()) < len(c.jobs) {
+		c.workers++
+		c.pool.Add(1)
+		go c.worker()
 	}
-	r.ID = id
-	c.respond(r)
-	c.releaseLocal()
 }
 
+// worker completes calls until the reader closes the job queue.
+func (c *proxyConn) worker() {
+	defer c.pool.Done()
+	for {
+		c.idle.Add(1)
+		j, ok := <-c.jobs
+		c.idle.Add(-1)
+		if !ok {
+			return
+		}
+		r, err := j.ca.Wait()
+		if err != nil {
+			r = server.Response{Status: server.StatusInternal, Payload: []byte(err.Error())}
+		}
+		r.ID = j.id
+		c.respond(r)
+		c.releaseLocal()
+	}
+}
+
+// respond queues one response on the connection's writer.
 func (c *proxyConn) respond(r server.Response) {
 	c.p.responses.Add(1)
-	c.out <- r
-}
-
-func (c *proxyConn) writer() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	var buf []byte
-	var err error
-	for r := range c.out {
-		if err != nil {
-			continue // drain so handlers never block on a dead connection
-		}
-		buf, err = server.AppendResponse(buf[:0], r)
-		if err != nil {
-			continue
-		}
-		if _, werr := bw.Write(buf); werr != nil {
-			err = werr
-			continue
-		}
-		if len(c.out) == 0 {
-			if ferr := bw.Flush(); ferr != nil {
-				err = ferr
-			}
-		}
-	}
-	if err == nil {
-		bw.Flush()
-	}
+	// The only error is the connection's terminal one: the peer is gone and
+	// the response is discarded without blocking, as intended.
+	_, _ = c.w.WriteResponse(r)
 }
 
 func (c *proxyConn) acquireLocal() {

@@ -284,8 +284,9 @@ func TestVolumeDrainUnderLoad(t *testing.T) {
 
 	const n = 512
 	calls := make([]*client.Call, 0, n)
-	started := make(chan struct{})
+	started, produced := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(produced)
 		for i := 0; i < n; i++ {
 			call, err := c.Start(server.Frame{
 				Op: server.OpWrite, LPN: int64(i) % v.Space(),
@@ -315,6 +316,13 @@ func TestVolumeDrainUnderLoad(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 
+	// Start only queues frames, so the producer may still be appending to
+	// calls; it stops once the drained proxy closes the connection.
+	select {
+	case <-produced:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Start hung through proxy drain")
+	}
 	var ok, rejected, failed int
 	deadline := time.After(20 * time.Second)
 	done := make(chan struct{})
