@@ -5,9 +5,12 @@
 # race-clean. The second -race leg re-runs the parallel-core tests (the
 # conservative-horizon device and the parallel experiment identity check)
 # with -count=1, so they execute fresh even when the full-suite run above
-# was served from the test cache. The benchmark in perfbench/ is its own
-# module, outside `go test ./...`, so check vets and tests it separately and
-# then runs a 2-second cluster-mixed smoke that must report a correct run.
+# was served from the test cache. It includes the ticket-path tests: a failed
+# or empty ticket releases the FTL stage and records nothing, and the FTL
+# stage records every latency (TestConcurrentMetricsWiring rides the
+# TestConcurrent prefix). The benchmark in perfbench/ is its own module,
+# outside `go test ./...`, so check vets and tests it separately and then
+# runs a 2-second cluster-mixed smoke that must report a correct run.
 
 GO ?= go
 
@@ -23,7 +26,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'TestConcurrent|TestSimThroughputParallelIdentical' \
+	$(GO) test -race -count=1 -run 'TestConcurrent|TestSimThroughputParallelIdentical|TestDigestDrainSurvivesErrors|TestEmptyBatchAdvancesTicket' \
 		./internal/ssd ./internal/experiments
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash perfbench/run.sh --workload cluster-mixed --seconds 2 | grep -q '"correct":true'
@@ -232,7 +235,8 @@ endif
 # delta table, failing (exit 1) when anything regressed past its tolerance.
 # The three metrics gate independently: ns/op under BENCH_TOL stays advisory
 # in CI (continue-on-error — shared-runner timing is too noisy to block
-# merges on), but allocs/op under BENCH_ALLOC_TOL is BLOCKING — steady-state
+# merges on), but allocs/op under BENCH_ALLOC_TOL is BLOCKING (CI runs a
+# second, alloc-only step with BENCH_TOL=-1 BENCH_BYTES_TOL=-1) — steady-state
 # allocation counts in the FTL and flash benchmarks are deterministic, so
 # alloc growth in a shared benchmark is a real regression, not noise. The 1%
 # slack only absorbs one-time setup allocations (process-wide caches land on

@@ -273,14 +273,20 @@ func BenchmarkServerLoopback(b *testing.B) {
 	}
 }
 
-// BenchmarkVolumeLoopback shows the volume layer's scaling story: the same
-// open-loop write burst against 1, 2 and 4 paced loopback backends, striped
-// by internal/volume. Pacing makes every backend hold its admission slot for
-// the simulated latency of each write (scaled to wall time), so a single
-// backend is throughput-bound the way a real device is — and striping the
-// space N ways divides the per-backend work, scaling aggregate wops/s
-// near-linearly even on one CPU core. The wops/s metric per sub-benchmark is
-// the README cluster table; backends4 must be ≥3× backends1.
+// BenchmarkVolumeLoopback measures the volume layer: the same open-loop
+// write burst against 1, 2 and 4 paced loopback backends, striped by
+// internal/volume. Pacing makes every backend hold its admission slot for
+// the simulated latency of each write (scaled to wall time), so a backend is
+// throughput-bound the way a real device is, and striping the space N ways
+// divides the per-backend work; aggregate wops/s scales with N only while
+// pacing, not the host CPU, is the bottleneck.
+//
+// Writes carry stamped arrivals, monotone across iterations, so every
+// backend's simulated clock advances with the burst: the paced delay is the
+// per-write latency, not a queue that grows with b.N. The cadence is
+// calibrated like BenchmarkGCTailLatency's: 3.5× the mean inter-completion
+// gap of a closed-loop run on one filled backend device. sim_us/op reports
+// the mean simulated write latency, which must stay flat as b.N grows.
 func BenchmarkVolumeLoopback(b *testing.B) {
 	g := flash.TestGeometry()
 	g.BlocksPerPlane = 12
@@ -295,13 +301,44 @@ func BenchmarkVolumeLoopback(b *testing.B) {
 		ops   = 2048
 		depth = 64
 	)
+	payload := []byte("vol-bench-write")
+	// overwrite runs one closed-loop pass of the burst's LPN pattern.
+	overwrite := func(b *testing.B, dev *ssd.ConcurrentDevice) {
+		for j := 0; j < ops; j++ {
+			lpn := int64(j) % dev.FTL().Capacity()
+			if _, err := dev.Submit(ssd.Request{Kind: ssd.OpWrite, LPN: lpn, Data: payload}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// mkDev builds a backend device in GC steady state: filled, then one
+	// overwrite pass (the first pass after a sequential fill is cheaper
+	// than every later one).
+	mkDev := func(b *testing.B) *ssd.ConcurrentDevice {
+		dev, err := ssd.NewConcurrent(flash.MustNewArray(g, pv.New(p), flash.DefaultECC()), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := dev.FillSequential(nil); err != nil {
+			b.Fatal(err)
+		}
+		overwrite(b, dev)
+		return dev
+	}
+
+	cal := mkDev(b)
+	calStart := cal.Now()
+	overwrite(b, cal)
+	gap := 3.5 * (cal.Now() - calStart) / ops
+
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("backends%d", n), func(b *testing.B) {
 			addrs := make([]string, n)
+			base := 0.0
 			for i := range addrs {
-				dev, err := ssd.NewConcurrent(flash.MustNewArray(g, pv.New(p), flash.DefaultECC()), cfg)
-				if err != nil {
-					b.Fatal(err)
+				dev := mkDev(b)
+				if now := dev.Now(); now > base {
+					base = now
 				}
 				b.Cleanup(dev.Close)
 				srv := server.New(dev, scfg)
@@ -323,30 +360,35 @@ func BenchmarkVolumeLoopback(b *testing.B) {
 			}
 			b.Cleanup(func() { v.Close() })
 			span := v.Space()
-			payload := []byte("vol-bench-write")
+			var simSum float64
+			wait := func(call *volume.Call) {
+				r, err := call.Wait()
+				if err != nil {
+					b.Fatal(err)
+				}
+				simSum += r.Latency
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pending := make([]*volume.Call, 0, depth)
 				for j := 0; j < ops; j++ {
 					if len(pending) == depth {
-						if _, err := pending[0].Wait(); err != nil {
-							b.Fatal(err)
-						}
+						wait(pending[0])
 						pending = pending[1:]
 					}
-					call, err := v.StartWrite(int64(j)%span, payload, ftl.HintNone, 0, 0, volume.TraceRef{})
+					arrival := base + gap*float64(i*ops+j+1)
+					call, err := v.StartWrite(int64(j)%span, payload, ftl.HintNone, 0, arrival, volume.TraceRef{})
 					if err != nil {
 						b.Fatal(err)
 					}
 					pending = append(pending, call)
 				}
 				for _, call := range pending {
-					if _, err := call.Wait(); err != nil {
-						b.Fatal(err)
-					}
+					wait(call)
 				}
 			}
 			b.ReportMetric(float64(ops*b.N)/b.Elapsed().Seconds(), "wops/s")
+			b.ReportMetric(simSum/float64(ops*b.N), "sim_us/op")
 		})
 	}
 }

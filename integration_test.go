@@ -208,6 +208,7 @@ func TestHTTPMetricsSmoke(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE ftl_writes_host counter",
 		"ssd_latency{quantile=\"0.5\"}",
+		"ssd_latency{quantile=\"0.999\"}",
 		"ssd_latency_count",
 	} {
 		if !strings.Contains(metrics, want) {

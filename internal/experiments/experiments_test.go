@@ -295,7 +295,8 @@ func TestEveryExperimentHasDescription(t *testing.T) {
 func TestSweepMetricsParallelMatchesSerial(t *testing.T) {
 	// The sweep merges task outcomes in serial task order even when the
 	// tasks themselves ran concurrently, so every metric — including the
-	// order-sensitive P² digest state — must match the serial run exactly.
+	// digest's float sum, which depends on observation order — must match
+	// the serial run exactly.
 	run := func(parallel int) []telemetry.Value {
 		cfg := QuickConfig()
 		cfg.BlocksPerLane = 16

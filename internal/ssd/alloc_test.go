@@ -10,8 +10,8 @@ import (
 // TestConcurrentSubmitAllocs pins the telemetry-disabled Submit path's
 // allocation count. One single-request submission allocates only the boxed
 // request slice and the completion slice — the run list, per-run arrivals
-// and data tables come from the pooled submit scratch, the reorder-buffer
-// latency slice is recycled by the digest drain, and the conservative-
+// and data tables come from the pooled submit scratch, latencies go straight
+// into the fixed-size digest inside the FTL stage, and the conservative-
 // horizon core removed the per-op reply buffers entirely. Nothing is
 // allocated per flash operation: the flash array and the latency kernel
 // underneath run allocation-free in steady state. The bound leaves one

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"superfast/internal/flash"
 	"superfast/internal/ftl"
+	"superfast/internal/stats"
 	"superfast/internal/telemetry"
 )
 
@@ -93,15 +95,14 @@ type ConcurrentDevice struct {
 	// chips carries the per-chip op/busy counters, advanced alongside till.
 	chips []ChipStats
 
-	statsMu  sync.Mutex
-	records  []latencyRecord // only populated when cfg.RetainLatencies
-	counts   Stats           // scalar counters; Latencies are merged from records
-	horizon  float64         // latest completion observed, µs
-	lat      *telemetry.Digest
-	pend     map[uint64][]float64 // finished tickets not yet fed to the digest
-	latsFree [][]float64          // drained pend slices, recycled by submit
-	drain    uint64               // next ticket the digest will consume
-	qdepth   *telemetry.Gauge     // in-flight submissions; nil when unwired
+	// Completion statistics, recorded by the FTL stage in ticket order (every
+	// latency is final once the stage has scheduled its run). Guarded by mu.
+	records []latencyRecord // only populated when cfg.RetainLatencies
+	counts  Stats           // scalar counters; Latencies are merged from records
+	horizon float64         // latest completion observed, µs
+	lat     *telemetry.Digest
+
+	qdepth atomic.Pointer[telemetry.Gauge] // in-flight submissions; nil when unwired
 }
 
 // tenantShape paces one tenant's chip-work admission on the simulated
@@ -154,8 +155,7 @@ func NewConcurrent(arr *flash.Array, cfg Config) (*ConcurrentDevice, error) {
 	c := &ConcurrentDevice{
 		f:       f,
 		cfg:     cfg,
-		lat:     telemetry.NewDigest(),
-		pend:    make(map[uint64][]float64),
+		lat:     &telemetry.Digest{},
 		till:    make([]float64, chips),
 		resTill: make([]float64, chips),
 		chips:   make([]ChipStats, chips),
@@ -191,14 +191,11 @@ func (c *ConcurrentDevice) WithFTL(fn func(*ftl.FTL)) {
 func (c *ConcurrentDevice) PageSize() int { return c.f.Geometry().PageSize }
 
 // Now returns the simulated clock: the later of the latest admitted arrival
-// and the latest completion. Both locks are held together — reading them in
-// two separate critical sections would let a submission land between the
-// reads and return a clock torn between two different instants.
+// and the latest completion, read in one critical section so a submission
+// cannot land between the two reads.
 func (c *ConcurrentDevice) Now() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
 	t := c.clock
 	if c.horizon > t {
 		t = c.horizon
@@ -323,14 +320,12 @@ func (c *ConcurrentDevice) AttachRecorder(rec *telemetry.Recorder) error {
 			rs.hor = c.chips[i].Till
 		}
 	}
-	c.statsMu.Lock()
 	if c.horizon > rs.hor {
 		rs.hor = c.horizon
 	}
 	if c.clock > rs.hor {
 		rs.hor = c.clock
 	}
-	c.statsMu.Unlock()
 	rs.rec.AlignTo(rs.hor)
 	c.rec = rs
 	return nil
@@ -364,30 +359,33 @@ func (c *ConcurrentDevice) FlushRecorder() {
 
 // SetMetrics wires (or, with nil, unwires) a telemetry registry: the FTL's
 // "ftl." counters, a "ssd.qdepth" gauge tracking in-flight submissions, and
-// the streaming "ssd.latency" digest. Call while no submission is in flight;
-// wiring a registry swaps in its (fresh) digest, so attaching after the warm
-// fill keeps the fill out of the measured distribution.
+// the "ssd.latency" digest, which the FTL stage then feeds one observation
+// per completed request. Call while no submission is in flight; wiring a
+// registry swaps in its (fresh) digest and unwiring a private empty one, so
+// attaching after the warm fill keeps the fill out of the measured
+// distribution.
 func (c *ConcurrentDevice) SetMetrics(m *telemetry.Metrics) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.met = m
 	c.f.SetMetrics(m)
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
 	if m == nil {
-		c.qdepth = nil
-		c.lat = telemetry.NewDigest()
+		c.qdepth.Store(nil)
+		c.lat = &telemetry.Digest{}
 		return
 	}
-	c.qdepth = m.Gauge("ssd.qdepth")
+	c.qdepth.Store(m.Gauge("ssd.qdepth"))
 	c.lat = m.Digest("ssd.latency")
 }
 
-// LatencyDigest returns the streaming latency summary: moments plus P²
-// p50/p95/p99 estimates in O(1) memory. Observations enter in ticket order
-// (a reorder buffer holds completions that finish early), so the snapshot is
-// identical however many goroutines submitted.
-func (c *ConcurrentDevice) LatencyDigest() telemetry.DigestSnapshot {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+// LatencyDigest returns the latency summary — count, exact mean and
+// extrema, and P50–P99.9 from the mergeable bucket digest — in O(1) memory.
+// Observations are recorded in ticket order by the FTL stage, and the digest
+// is order-independent anyway, so the summary is identical however many
+// goroutines submitted.
+func (c *ConcurrentDevice) LatencyDigest() stats.DigestSummary {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.lat.Snapshot()
 }
 
@@ -492,7 +490,7 @@ func (s *submitScratch) nextRun() *run {
 }
 
 func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, error) {
-	if g := c.gauge(); g != nil {
+	if g := c.qdepth.Load(); g != nil {
 		g.Add(1)
 		defer g.Add(-1)
 	}
@@ -505,6 +503,9 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 	var err error
 	if len(reqs) > 0 {
 		err = c.ftlStage(ticket, reqs, sc)
+		if err == nil {
+			c.recordStats(ticket, reqs, sc.runs)
+		}
 	}
 	trc := c.trc
 	// The ticket advances even on error (and on an empty batch) so later
@@ -512,6 +513,10 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 	c.next = ticket + 1
 	c.admit.Broadcast()
 	c.mu.Unlock()
+	if err != nil {
+		scratchPool.Put(sc)
+		return nil, err
+	}
 
 	// Completion stage, outside the lock: pure arithmetic — every run's end
 	// time was fixed by the FTL stage against the per-chip clocks, so there
@@ -538,16 +543,6 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 			}
 		}
 	}
-	if err != nil {
-		// The digest drain must still see this ticket, or every later
-		// completion would sit in the reorder buffer forever.
-		c.statsMu.Lock()
-		c.pend[ticket] = nil
-		c.feedDigest()
-		c.statsMu.Unlock()
-		scratchPool.Put(sc)
-		return nil, err
-	}
 	if trc != nil {
 		for ri := range runs {
 			r := &runs[ri]
@@ -567,19 +562,20 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 			}
 		}
 	}
-	// Latencies of this ticket in slot order: the reorder buffer feeds them
-	// to the digest in ticket order, so the streaming quantiles are the same
-	// at any submission depth.
-	c.statsMu.Lock()
-	var lats []float64
-	if n := len(c.latsFree); n > 0 {
-		lats = c.latsFree[n-1][:0]
-		c.latsFree = c.latsFree[:n-1]
-	}
+	scratchPool.Put(sc)
+	return comps, nil
+}
+
+// recordStats folds a successful ticket's completions into the request
+// counts, the retained records, the completion horizon and the latency
+// digest. Caller holds c.mu inside the FTL stage, so tickets are recorded in
+// order; the latency is the same finish − arrival the completion reports.
+func (c *ConcurrentDevice) recordStats(ticket uint64, reqs []Request, runs []run) {
 	for ri := range runs {
 		r := &runs[ri]
+		finish := r.end + r.xfer
 		for i := 0; i < r.n; i++ {
-			cp := comps[r.first+i]
+			lat := finish - r.arrivals[i]
 			c.counts.Requests++
 			switch reqs[r.first+i].Kind {
 			case OpWrite:
@@ -591,45 +587,13 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 			}
 			if c.cfg.RetainLatencies {
 				c.records = append(c.records, latencyRecord{
-					arrival: r.arrivals[i], ticket: ticket, slot: r.first + i, latency: cp.Latency,
+					arrival: r.arrivals[i], ticket: ticket, slot: r.first + i, latency: lat,
 				})
 			}
-			lats = append(lats, cp.Latency)
-			if cp.Finish > c.horizon {
-				c.horizon = cp.Finish
-			}
+			c.lat.Observe(lat)
 		}
-	}
-	c.pend[ticket] = lats
-	c.feedDigest()
-	c.statsMu.Unlock()
-	scratchPool.Put(sc)
-	return comps, nil
-}
-
-// gauge returns the in-flight gauge under the stats lock.
-func (c *ConcurrentDevice) gauge() *telemetry.Gauge {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.qdepth
-}
-
-// feedDigest advances the ticket-order drain over the reorder buffer,
-// recycling the drained latency slices for later submissions. Caller holds
-// c.statsMu.
-func (c *ConcurrentDevice) feedDigest() {
-	for {
-		lats, ok := c.pend[c.drain]
-		if !ok {
-			return
-		}
-		delete(c.pend, c.drain)
-		c.drain++
-		for _, v := range lats {
-			c.lat.Observe(v)
-		}
-		if cap(lats) > 0 {
-			c.latsFree = append(c.latsFree, lats[:0])
+		if r.n > 0 && finish > c.horizon {
+			c.horizon = finish
 		}
 	}
 }
@@ -1011,9 +975,10 @@ func (c *ConcurrentDevice) transferTime(bytes int) float64 {
 // first. Otherwise Latencies is nil and the streaming LatencyDigest carries
 // the distribution in O(1) memory.
 func (c *ConcurrentDevice) Stats() Stats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+	c.mu.Lock()
 	recs := append([]latencyRecord(nil), c.records...)
+	s := c.counts
+	c.mu.Unlock()
 	sort.SliceStable(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
 		if a.arrival != b.arrival {
@@ -1024,7 +989,6 @@ func (c *ConcurrentDevice) Stats() Stats {
 		}
 		return a.slot < b.slot
 	})
-	s := c.counts
 	s.Latencies = make([]float64, len(recs))
 	for i, r := range recs {
 		s.Latencies[i] = r.latency
@@ -1063,11 +1027,9 @@ func (c *ConcurrentDevice) PowerCycle(recoverUS float64) (PowerCycleReport, erro
 	}
 	// Completions extend past the chip clocks by their bus transfer; the
 	// cut must not land before the last byte reached the host.
-	c.statsMu.Lock()
 	if c.horizon > start {
 		start = c.horizon
 	}
-	c.statsMu.Unlock()
 	c.curTrace, c.curTicket = 0, c.next
 	var snap []byte
 	ops, err := c.f.CollectOps(func() error {

@@ -8,7 +8,7 @@ import (
 
 	"superfast/internal/flash"
 	"superfast/internal/pv"
-	"superfast/internal/telemetry"
+	"superfast/internal/stats"
 )
 
 func concurrentDevice(t testing.TB) *ConcurrentDevice {
@@ -117,7 +117,7 @@ func TestConcurrentDepthIndependence(t *testing.T) {
 	// The same stamped trace replayed at depth 1 and depth 8 must yield
 	// bit-identical completions and merged statistics: tickets pin the FTL
 	// order and dispatch order pins every chip schedule.
-	run := func(depth int) ([]Completion, Stats, telemetry.DigestSnapshot) {
+	run := func(depth int) ([]Completion, Stats, stats.DigestSummary) {
 		d := concurrentDeviceCfg(t, func(cfg *Config) { cfg.RetainLatencies = true })
 		if err := d.FillSequential(nil); err != nil {
 			t.Fatal(err)
@@ -133,8 +133,8 @@ func TestConcurrentDepthIndependence(t *testing.T) {
 	if !reflect.DeepEqual(s1, s8) {
 		t.Fatalf("depth-8 stats differ from depth-1:\n%+v\n%+v", s1, s8)
 	}
-	// The streaming digest consumes observations in ticket order (reorder
-	// buffer), so even the P² marker state must be depth-independent.
+	// The FTL stage records every latency in ticket order, so the digest
+	// summary — sum included — must be depth-independent too.
 	if d1 != d8 {
 		t.Fatalf("depth-8 latency digest differs from depth-1:\n%+v\n%+v", d1, d8)
 	}

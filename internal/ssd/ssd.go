@@ -44,9 +44,10 @@ type Config struct {
 	Queue   QueueModel
 	// RetainLatencies keeps every per-request latency in memory so Stats can
 	// return the raw Latencies slice. Off by default: long runs then rely on
-	// the O(1)-memory streaming digest (LatencyDigest) instead of an
-	// unbounded record list. Only the ConcurrentDevice honours this; the
-	// serial Device always retains (it exists for short deterministic runs).
+	// the fixed-size bucket digest (LatencyDigest: exact mean and extrema,
+	// P50–P99.9 within its bucket error) instead of an unbounded record
+	// list. Only the ConcurrentDevice honours this; the serial Device always
+	// retains (it exists for short deterministic runs).
 	RetainLatencies bool
 }
 
@@ -160,8 +161,8 @@ func New(arr *flash.Array, cfg Config) (*Device, error) {
 func (d *Device) FTL() *ftl.FTL { return d.f }
 
 // SetMetrics wires (or, with nil, unwires) a telemetry registry: the FTL's
-// "ftl." counters plus a streaming "ssd.latency" digest fed one observation
-// per completed request. Attach after warming the device so the fill does
+// "ftl." counters plus an "ssd.latency" digest fed one observation per
+// completed request. Attach after warming the device so the fill does
 // not pollute the measured distribution.
 func (d *Device) SetMetrics(m *telemetry.Metrics) {
 	d.f.SetMetrics(m)

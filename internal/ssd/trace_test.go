@@ -188,8 +188,8 @@ func TestChipStatsMatchJournalAcrossDepths(t *testing.T) {
 }
 
 func TestDigestDrainSurvivesErrors(t *testing.T) {
-	// A failed submission must still advance the ticket-order digest drain:
-	// later completions may not be stranded in the reorder buffer.
+	// A failed submission records nothing, but must still release its ticket:
+	// later completions are recorded in the digest as usual.
 	d := concurrentDevice(t)
 	if err := d.FillSequential(nil); err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestDigestDrainSurvivesErrors(t *testing.T) {
 
 func TestEmptyBatchAdvancesTicket(t *testing.T) {
 	// An empty batch consumes its ticket: later submissions must not block
-	// behind it and the digest drain must pass over it.
+	// behind it, and it records nothing in the digest.
 	d := concurrentDevice(t)
 	if _, err := d.SubmitBatch(nil); err != nil {
 		t.Fatal(err)

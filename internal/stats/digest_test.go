@@ -176,6 +176,17 @@ func TestLatencyDigestSummary(t *testing.T) {
 	if relErr(s.Mean, 500.5) > 1e-12 {
 		t.Fatalf("summary mean %v", s.Mean)
 	}
+
+	// Samples with a huge common offset and tiny spread — a long simulated
+	// run's clock magnitude (~46 days in µs): mean, min and max stay exact.
+	var off LatencyDigest
+	base := 4e12
+	for i := 1; i <= 5; i++ {
+		off.Observe(base + float64(i))
+	}
+	if s := off.Summary(); s.N != 5 || s.Mean != base+3 || s.Min != base+1 || s.Max != base+5 {
+		t.Fatalf("high-offset summary %+v", s)
+	}
 }
 
 func TestBucketRoundTrip(t *testing.T) {

@@ -1,80 +1,31 @@
 package telemetry
 
 import (
-	"math"
 	"sync"
+
+	"superfast/internal/stats"
 )
 
-// Digest is a streaming latency summary: count, Welford mean/variance,
-// min/max, and P² estimates of the 50th, 95th and 99th percentiles — all in
-// O(1) memory, so a device can summarize millions of requests without
-// retaining them. Safe for concurrent use; determinism of the quantile
-// estimates still requires callers to feed observations in a deterministic
-// order (the device front ends feed in ticket order).
+// Digest is a mutex-guarded stats.LatencyDigest: the registry's latency
+// summary, safe to feed from several goroutines. The underlying bucket sketch
+// is order-independent, so a snapshot does not depend on the order
+// concurrent observers won the lock (only the mean's float sum may differ in
+// its last bits).
 type Digest struct {
-	mu   sync.Mutex
-	n    uint64
-	mean float64
-	m2   float64 // Welford sum of squared deviations
-	min  float64
-	max  float64
-	p50  *P2
-	p95  *P2
-	p99  *P2
-}
-
-// NewDigest returns an empty digest.
-func NewDigest() *Digest {
-	return &Digest{min: math.Inf(1), max: math.Inf(-1),
-		p50: NewP2(0.50), p95: NewP2(0.95), p99: NewP2(0.99)}
+	mu sync.Mutex
+	d  stats.LatencyDigest
 }
 
 // Observe feeds one sample.
 func (d *Digest) Observe(v float64) {
 	d.mu.Lock()
-	d.n++
-	delta := v - d.mean
-	d.mean += delta / float64(d.n)
-	d.m2 += delta * (v - d.mean)
-	if v < d.min {
-		d.min = v
-	}
-	if v > d.max {
-		d.max = v
-	}
-	d.p50.Observe(v)
-	d.p95.Observe(v)
-	d.p99.Observe(v)
+	d.d.Observe(v)
 	d.mu.Unlock()
 }
 
-// DigestSnapshot is a point-in-time reading of a Digest.
-type DigestSnapshot struct {
-	N    uint64
-	Mean float64
-	Std  float64 // population standard deviation, matching stats.Summarize
-	Min  float64
-	Max  float64
-	P50  float64
-	P95  float64
-	P99  float64
-}
-
 // Snapshot returns the current summary. An empty digest yields zeros.
-func (d *Digest) Snapshot() DigestSnapshot {
+func (d *Digest) Snapshot() stats.DigestSummary {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.n == 0 {
-		return DigestSnapshot{}
-	}
-	return DigestSnapshot{
-		N:    d.n,
-		Mean: d.mean,
-		Std:  math.Sqrt(d.m2 / float64(d.n)),
-		Min:  d.min,
-		Max:  d.max,
-		P50:  d.p50.Value(),
-		P95:  d.p95.Value(),
-		P99:  d.p99.Value(),
-	}
+	return d.d.Summary()
 }

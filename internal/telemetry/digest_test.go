@@ -2,120 +2,21 @@ package telemetry
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"superfast/internal/prng"
+	"superfast/internal/stats"
 )
 
-// exactQuantile mirrors stats.Quantile on a sorted sample.
-func exactQuantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-func TestP2SmallSampleExact(t *testing.T) {
-	e := NewP2(0.5)
-	if e.Value() != 0 {
-		t.Fatalf("empty estimator = %v, want 0", e.Value())
-	}
-	for _, v := range []float64{30, 10, 20} {
-		e.Observe(v)
-	}
-	if got := e.Value(); got != 20 {
-		t.Fatalf("median of {10,20,30} = %v, want 20", got)
-	}
-	if e.Count() != 3 {
-		t.Fatalf("count = %d", e.Count())
-	}
-}
-
-func TestP2TracksQuantiles(t *testing.T) {
-	// Feed a deterministic exponential-ish stream (the shape of latency
-	// samples) and require the streaming estimate to land within a few
-	// percent of the exact quantile.
-	src := prng.New(7, 0x9e77)
-	const n = 20000
-	samples := make([]float64, n)
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		e := NewP2(q)
-		for i := range samples {
-			u := src.Float64()
-			if u <= 0 {
-				u = 1e-12
-			}
-			v := 100 * -math.Log(1-u) // exponential, mean 100
-			samples[i] = v
-			e.Observe(v)
-		}
-		sorted := append([]float64(nil), samples...)
-		sort.Float64s(sorted)
-		want := exactQuantile(sorted, q)
-		got := e.Value()
-		if rel := math.Abs(got-want) / want; rel > 0.05 {
-			t.Fatalf("p%.0f: streaming %v vs exact %v (rel err %.3f)", q*100, got, want, rel)
-		}
-	}
-}
-
-func TestP2Deterministic(t *testing.T) {
-	run := func() float64 {
-		e := NewP2(0.95)
-		src := prng.New(3, 0x51)
-		for i := 0; i < 5000; i++ {
-			e.Observe(src.Float64() * 1000)
-		}
-		return e.Value()
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("same stream produced %v then %v", a, b)
-	}
-}
-
-func TestDigestWelfordHighOffset(t *testing.T) {
-	// Samples with a huge common offset and tiny spread: the naive
-	// sumSq−mean² variance cancels catastrophically here; Welford must not.
-	d := NewDigest()
-	base := 4e12 // ~46 days in µs — a long simulated run's clock magnitude
-	vals := []float64{base + 1, base + 2, base + 3, base + 4, base + 5}
-	for _, v := range vals {
-		d.Observe(v)
-	}
-	s := d.Snapshot()
-	if s.N != 5 {
-		t.Fatalf("n = %d", s.N)
-	}
-	if got, want := s.Mean, base+3; math.Abs(got-want) > 1e-3 {
-		t.Fatalf("mean = %v, want %v", got, want)
-	}
-	if got, want := s.Std, math.Sqrt(2.0); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("std = %v, want %v (Welford must survive the offset)", got, want)
-	}
-	if s.Min != base+1 || s.Max != base+5 {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if s.P50 != base+3 {
-		t.Fatalf("p50 = %v, want %v", s.P50, base+3)
-	}
-}
-
 func TestDigestEmpty(t *testing.T) {
-	if s := NewDigest().Snapshot(); s != (DigestSnapshot{}) {
+	var d Digest
+	if s := d.Snapshot(); s != (stats.DigestSummary{}) {
 		t.Fatalf("empty digest snapshot = %+v", s)
 	}
 }
 
 func TestDigestMatchesMoments(t *testing.T) {
-	d := NewDigest()
+	var d Digest
 	src := prng.New(11, 0x33)
 	var xs []float64
 	for i := 0; i < 3000; i++ {
@@ -124,19 +25,50 @@ func TestDigestMatchesMoments(t *testing.T) {
 		d.Observe(v)
 	}
 	var sum float64
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range xs {
 		sum += v
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
 	}
 	mean := sum / float64(len(xs))
-	var m2 float64
-	for _, v := range xs {
-		m2 += (v - mean) * (v - mean)
-	}
 	s := d.Snapshot()
+	if s.N != uint64(len(xs)) {
+		t.Fatalf("n %d vs %d", s.N, len(xs))
+	}
 	if math.Abs(s.Mean-mean) > 1e-9*mean {
 		t.Fatalf("mean %v vs %v", s.Mean, mean)
 	}
-	if want := math.Sqrt(m2 / float64(len(xs))); math.Abs(s.Std-want) > 1e-9*want {
-		t.Fatalf("std %v vs %v", s.Std, want)
+	if s.Min != lo || s.Max != hi {
+		t.Fatalf("min/max %v/%v vs %v/%v", s.Min, s.Max, lo, hi)
+	}
+}
+
+func TestDigestWelfordHighOffset(t *testing.T) {
+	// Samples with a huge common offset and tiny spread — a long simulated
+	// run's clock magnitude (~46 days in µs). The registry digest no longer
+	// keeps Welford moments, but its summary must still survive the offset:
+	// count, mean, min and max exact, and quantiles inside the observed range.
+	var d Digest
+	base := 4e12
+	for i := 1; i <= 5; i++ {
+		d.Observe(base + float64(i))
+	}
+	s := d.Snapshot()
+	if s.N != 5 {
+		t.Fatalf("n = %d", s.N)
+	}
+	if s.Mean != base+3 {
+		t.Fatalf("mean = %v, want %v", s.Mean, base+3)
+	}
+	if s.Min != base+1 || s.Max != base+5 {
+		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
+	}
+	for _, q := range []float64{s.P50, s.P95, s.P99, s.P999} {
+		if q < s.Min || q > s.Max {
+			t.Fatalf("quantile %v outside [%v, %v]: %+v", q, s.Min, s.Max, s)
+		}
+	}
+	if s.P50 > s.P95 || s.P95 > s.P99 || s.P99 > s.P999 {
+		t.Fatalf("quantiles not monotone: %+v", s)
 	}
 }

@@ -3,11 +3,15 @@ package telemetry
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 	"strings"
+
+	"superfast/internal/stats"
 )
 
 // promName sanitizes a registry metric name into the Prometheus exposition
@@ -32,108 +36,152 @@ func promName(name string) string {
 	return b.String()
 }
 
-// formatPromValue renders a sample value for the text exposition format.
+// PromWriter renders the Prometheus text exposition format (version 0.0.4).
+// It is the one exposition writer behind every /metrics endpoint — the
+// registry, the hop ledger and the volume's cluster view all render through
+// it — so metric names are sanitized (promName), values formatted and
+// latency summaries shaped the same way everywhere.
+type PromWriter struct{ W *bufio.Writer }
+
+// Family starts a metric family: an optional # HELP line and the # TYPE line.
+func (p PromWriter) Family(name, kind, help string) {
+	name = promName(name)
+	if help != "" {
+		p.W.WriteString("# HELP " + name + " " + help + "\n")
+	}
+	p.W.WriteString("# TYPE " + name + " " + kind + "\n")
+}
+
+// Sample writes one sample line; labels is a pre-rendered label list (see
+// PromLabels), empty for an unlabeled series.
+func (p PromWriter) Sample(name, labels string, v float64) {
+	p.W.WriteString(promName(name))
+	if labels != "" {
+		p.W.WriteString("{" + labels + "}")
+	}
+	p.W.WriteByte(' ')
+	p.W.WriteString(formatPromValue(v))
+	p.W.WriteByte('\n')
+}
+
+// Quantiles writes one series of the summary shape every latency digest is
+// exposed in: quantiles 0.5/0.95/0.99/0.999, _sum and _count, plus exact
+// _min/_max once the digest holds a sample.
+func (p PromWriter) Quantiles(name, labels string, s stats.DigestSummary) {
+	sep := ""
+	if labels != "" {
+		sep = ","
+	}
+	for _, q := range [...]struct {
+		q string
+		v float64
+	}{{"0.5", s.P50}, {"0.95", s.P95}, {"0.99", s.P99}, {"0.999", s.P999}} {
+		p.Sample(name, labels+sep+`quantile="`+q.q+`"`, q.v)
+	}
+	p.Sample(name+"_sum", labels, s.Mean*float64(s.N))
+	p.Sample(name+"_count", labels, float64(s.N))
+	if s.N > 0 {
+		p.Sample(name+"_min", labels, s.Min)
+		p.Sample(name+"_max", labels, s.Max)
+	}
+}
+
+// Counter writes a single-sample counter family.
+func (p PromWriter) Counter(name, help string, v float64) {
+	p.Family(name, "counter", help)
+	p.Sample(name, "", v)
+}
+
+// Gauge writes a single-sample gauge family.
+func (p PromWriter) Gauge(name, help string, v float64) {
+	p.Family(name, "gauge", help)
+	p.Sample(name, "", v)
+}
+
+// Summary writes an unlabeled summary family.
+func (p PromWriter) Summary(name, help string, s stats.DigestSummary) {
+	p.Family(name, "summary", help)
+	p.Quantiles(name, "", s)
+}
+
+// PromLabels renders key/value pairs as a label list: k1="v1",k2="v2".
+func PromLabels(kv ...string) string {
+	var b strings.Builder
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(kv[i] + "=" + strconv.Quote(kv[i+1]))
+	}
+	return b.String()
+}
+
+// formatPromValue renders a sample value: integral values (counts, sums of
+// whole microseconds) without an exponent, everything else in the shortest
+// round-tripping form.
 func formatPromValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format (version 0.0.4): counters and gauges as their own families (gauge
-// high-watermarks as an extra <name>_max gauge when they differ from the
-// current value), digests as summaries with p50/p95/p99 quantile labels plus
-// _sum/_count/_min/_max. Families are emitted in sorted-name order, so the
-// body is deterministic for a fixed registry state.
+// WritePrometheus writes the registry: counters and gauges as their own
+// families (gauge high-watermarks as an extra <name>_max gauge when they
+// differ from the current value), digests as summaries. Families are emitted
+// in sorted-name order, so the body is deterministic for a fixed registry
+// state.
 func WritePrometheus(w *bufio.Writer, m *Metrics) {
+	p := PromWriter{w}
 	type family struct {
-		name  string
-		kind  string // "counter" | "gauge" | "summary"
-		lines []string
+		name string
+		emit func()
 	}
 	var fams []family
-
 	snap := m.Export()
 	for _, c := range snap.Counters {
-		n := promName(c.Name)
-		fams = append(fams, family{name: n, kind: "counter",
-			lines: []string{n + " " + strconv.FormatUint(c.Value, 10)}})
+		fams = append(fams, family{promName(c.Name), func() { p.Counter(c.Name, "", float64(c.Value)) }})
 	}
 	for _, g := range snap.Gauges {
-		n := promName(g.Name)
-		fams = append(fams, family{name: n, kind: "gauge",
-			lines: []string{n + " " + formatPromValue(g.Value)}})
+		fams = append(fams, family{promName(g.Name), func() { p.Gauge(g.Name, "", g.Value) }})
 		if g.Max != g.Value {
-			fams = append(fams, family{name: n + "_max", kind: "gauge",
-				lines: []string{n + "_max " + formatPromValue(g.Max)}})
+			fams = append(fams, family{promName(g.Name) + "_max", func() { p.Gauge(g.Name+"_max", "", g.Max) }})
 		}
 	}
 	for _, d := range snap.Digests {
-		n := promName(d.Name)
-		s := d.Snapshot
-		lines := []string{
-			n + `{quantile="0.5"} ` + formatPromValue(s.P50),
-			n + `{quantile="0.95"} ` + formatPromValue(s.P95),
-			n + `{quantile="0.99"} ` + formatPromValue(s.P99),
-			n + "_sum " + formatPromValue(s.Mean*float64(s.N)),
-			n + "_count " + strconv.FormatUint(s.N, 10),
-		}
-		fams = append(fams, family{name: n, kind: "summary", lines: lines})
-		if s.N > 0 {
-			fams = append(fams, family{name: n + "_min", kind: "gauge",
-				lines: []string{n + "_min " + formatPromValue(s.Min)}})
-			fams = append(fams, family{name: n + "_max", kind: "gauge",
-				lines: []string{n + "_max " + formatPromValue(s.Max)}})
-		}
+		fams = append(fams, family{promName(d.Name), func() { p.Summary(d.Name, "", d.Snapshot) }})
 	}
-
-	// Export returns name-sorted sections; families derived in order stay
-	// nearly sorted, but derived _min/_max entries can break ties — sort the
-	// final family list for a deterministic body.
-	for i := 1; i < len(fams); i++ {
-		for j := i; j > 0 && fams[j-1].name > fams[j].name; j-- {
-			fams[j-1], fams[j] = fams[j], fams[j-1]
-		}
-	}
+	sort.SliceStable(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		for _, l := range f.lines {
-			w.WriteString(l)
-			w.WriteByte('\n')
-		}
+		f.emit()
 	}
 }
 
-// WriteLedgerPrometheus appends the ledger's per-hop latency digests to a
-// Prometheus exposition: one hop_latency_us summary family with a hop label
-// per hop taxonomy entry (quantiles are the streaming P² estimates; units are
-// wall-clock µs for wall-only hops and simulated µs otherwise).
+// WriteLedgerPrometheus appends the ledger's per-hop latency digests: one
+// hop_latency_us summary family with a hop label per hop taxonomy entry
+// (units are wall-clock µs for wall-only hops and simulated µs otherwise).
+// A nil ledger writes nothing.
 func WriteLedgerPrometheus(w *bufio.Writer, led *Ledger) {
 	if led == nil {
 		return
 	}
-	fmt.Fprintf(w, "# TYPE hop_latency_us summary\n")
+	p := PromWriter{w}
+	p.Family("hop_latency_us", "summary", "")
 	for h := Hop(0); h < NumHops; h++ {
-		s := led.HopSummary(h)
-		if s.N == 0 {
-			continue
+		if s := led.HopSummary(h); s.N > 0 {
+			p.Quantiles("hop_latency_us", PromLabels("hop", h.String()), s)
 		}
-		name := h.String()
-		for _, q := range []struct {
-			q string
-			v float64
-		}{{"0.5", s.P50}, {"0.95", s.P95}, {"0.99", s.P99}, {"0.999", s.P999}} {
-			fmt.Fprintf(w, "hop_latency_us{hop=%q,quantile=%q} %s\n", name, q.q, formatPromValue(q.v))
-		}
-		fmt.Fprintf(w, "hop_latency_us_sum{hop=%q} %s\n", name, formatPromValue(s.Mean*float64(s.N)))
-		fmt.Fprintf(w, "hop_latency_us_count{hop=%q} %d\n", name, s.N)
 	}
 }
 
-// MetricsHandler serves the registry in Prometheus text format.
-func MetricsHandler(m *Metrics) http.Handler {
+// MetricsHandler serves a Prometheus text exposition rendered by write. It is
+// the /metrics handler of every HTTP surface: Routes passes the registry and
+// hop ledger writers, the volume its cluster view.
+func MetricsHandler(write func(w *bufio.Writer)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		bw := bufio.NewWriter(w)
-		WritePrometheus(bw, m)
+		write(bw)
 		bw.Flush()
 	})
 }
@@ -166,13 +214,10 @@ func TraceHandler(led *Ledger) http.Handler {
 // hop-ledger shard; see TraceHandler for formats).
 func Routes(m *Metrics, rec *Recorder, attr *Attribution, led *Ledger) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		bw := bufio.NewWriter(w)
-		WritePrometheus(bw, m)
-		WriteLedgerPrometheus(bw, led)
-		bw.Flush()
-	})
+	mux.Handle("/metrics", MetricsHandler(func(w *bufio.Writer) {
+		WritePrometheus(w, m)
+		WriteLedgerPrometheus(w, led)
+	}))
 	if led != nil {
 		mux.Handle("/trace", TraceHandler(led))
 	}

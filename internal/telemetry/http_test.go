@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -44,7 +45,7 @@ func TestMetricsHandlerExposition(t *testing.T) {
 		d.Observe(v)
 	}
 
-	code, body := get(t, MetricsHandler(m), "/metrics")
+	code, body := get(t, MetricsHandler(func(w *bufio.Writer) { WritePrometheus(w, m) }), "/metrics")
 	if code != 200 {
 		t.Fatalf("status = %d", code)
 	}
@@ -56,6 +57,7 @@ func TestMetricsHandlerExposition(t *testing.T) {
 		`host_read_lat_us{quantile="0.5"}`,
 		`host_read_lat_us{quantile="0.95"}`,
 		`host_read_lat_us{quantile="0.99"}`,
+		`host_read_lat_us{quantile="0.999"}`,
 		"host_read_lat_us_sum 2100\n",
 		"host_read_lat_us_count 6\n",
 		"host_read_lat_us_min 100\n",

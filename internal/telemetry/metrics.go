@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"superfast/internal/stats"
 )
 
 // Counter is a monotonically increasing event count. Safe for concurrent
@@ -116,7 +118,7 @@ func (m *Metrics) Digest(name string) *Digest {
 	defer m.mu.Unlock()
 	d := m.digests[name]
 	if d == nil {
-		d = NewDigest()
+		d = &Digest{}
 		m.digests[name] = d
 	}
 	return d
@@ -139,7 +141,7 @@ type GaugeValue struct {
 // DigestValue is one digest reading in a structured export.
 type DigestValue struct {
 	Name     string
-	Snapshot DigestSnapshot
+	Snapshot stats.DigestSummary
 }
 
 // Export is a typed registry snapshot, each section sorted by name. Unlike
@@ -183,7 +185,7 @@ type Value struct {
 // Snapshot flattens the registry into a name-sorted list of readings.
 // Counters contribute one entry; gauges contribute the current value plus a
 // ".max" watermark when it differs; digests are expanded into
-// .n/.mean/.std/.min/.max/.p50/.p95/.p99.
+// .n/.mean/.min/.max/.p50/.p95/.p99/.p999.
 func (m *Metrics) Snapshot() []Value {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -203,12 +205,12 @@ func (m *Metrics) Snapshot() []Value {
 		out = append(out,
 			Value{Name: name + ".n", Value: float64(s.N), Count: true},
 			Value{Name: name + ".mean", Value: s.Mean},
-			Value{Name: name + ".std", Value: s.Std},
 			Value{Name: name + ".min", Value: s.Min},
 			Value{Name: name + ".max", Value: s.Max},
 			Value{Name: name + ".p50", Value: s.P50},
 			Value{Name: name + ".p95", Value: s.P95},
 			Value{Name: name + ".p99", Value: s.P99},
+			Value{Name: name + ".p999", Value: s.P999},
 		)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

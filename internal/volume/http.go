@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
-	"superfast/internal/stats"
 	"superfast/internal/telemetry"
 )
 
@@ -24,15 +22,10 @@ import (
 // be nil; /trace and the hop_latency_us summaries are then omitted.
 func Routes(v *Volume, p *Proxy, led *telemetry.Ledger) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		writePrometheus(w, v, p)
-		if led != nil {
-			bw := bufio.NewWriter(w)
-			telemetry.WriteLedgerPrometheus(bw, led)
-			bw.Flush()
-		}
-	})
+	mux.Handle("/metrics", telemetry.MetricsHandler(func(w *bufio.Writer) {
+		writePrometheus(telemetry.PromWriter{W: w}, v, p)
+		telemetry.WriteLedgerPrometheus(w, led)
+	}))
 	if led != nil {
 		mux.Handle("/trace", telemetry.TraceHandler(led))
 	}
@@ -84,28 +77,22 @@ func Routes(v *Volume, p *Proxy, led *telemetry.Ledger) *http.ServeMux {
 }
 
 // writePrometheus renders the merged exposition: volume-level counters and
-// latency quantiles at cluster scope, and every backend's srv_* serving
+// latency summaries at cluster scope, and every backend's srv_* serving
 // counters as labeled series, so one scrape covers the whole shard set.
-func writePrometheus(w io.Writer, v *Volume, p *Proxy) {
+func writePrometheus(w telemetry.PromWriter, v *Volume, p *Proxy) {
 	snap := v.ClusterStat()
 
-	counter := func(name, help string, val uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, val)
-	}
-	gauge := func(name, help string, val float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, val)
-	}
-	counter("vol_reads_total", "logical reads accepted by the volume", snap.Volume.Reads)
-	counter("vol_writes_total", "logical writes accepted by the volume", snap.Volume.Writes)
-	counter("vol_trims_total", "logical trims accepted by the volume", snap.Volume.Trims)
-	counter("vol_flushes_total", "cluster flush barriers", snap.Volume.Flushes)
-	counter("vol_read_retries_total", "reads retried on another replica", snap.Volume.Retries)
-	counter("vol_read_repairs_total", "divergent replicas rewritten", snap.Volume.Repairs)
-	counter("vol_unit_moves_total", "stripe units relocated by rebalance", snap.Volume.UnitMoves)
-	gauge("vol_space_lpns", "logical pages the volume exposes", float64(snap.Capacity))
-	gauge("vol_stripe_pages", "pages per stripe unit", float64(snap.Stripe))
-	gauge("vol_replicas", "copies kept of every stripe unit", float64(snap.Replicas))
-	gauge("vol_waf", "cluster write amplification", snap.WAF)
+	w.Counter("vol_reads_total", "logical reads accepted by the volume", float64(snap.Volume.Reads))
+	w.Counter("vol_writes_total", "logical writes accepted by the volume", float64(snap.Volume.Writes))
+	w.Counter("vol_trims_total", "logical trims accepted by the volume", float64(snap.Volume.Trims))
+	w.Counter("vol_flushes_total", "cluster flush barriers", float64(snap.Volume.Flushes))
+	w.Counter("vol_read_retries_total", "reads retried on another replica", float64(snap.Volume.Retries))
+	w.Counter("vol_read_repairs_total", "divergent replicas rewritten", float64(snap.Volume.Repairs))
+	w.Counter("vol_unit_moves_total", "stripe units relocated by rebalance", float64(snap.Volume.UnitMoves))
+	w.Gauge("vol_space_lpns", "logical pages the volume exposes", float64(snap.Capacity))
+	w.Gauge("vol_stripe_pages", "pages per stripe unit", float64(snap.Stripe))
+	w.Gauge("vol_replicas", "copies kept of every stripe unit", float64(snap.Replicas))
+	w.Gauge("vol_waf", "cluster write amplification", snap.WAF)
 
 	active := 0
 	for _, b := range snap.Backends {
@@ -113,26 +100,15 @@ func writePrometheus(w io.Writer, v *Volume, p *Proxy) {
 			active++
 		}
 	}
-	gauge("vol_backends_active", "backends serving shard ranges", float64(active))
+	w.Gauge("vol_backends_active", "backends serving shard ranges", float64(active))
 	if p != nil {
 		s := p.Stats()
-		gauge("vol_conns", "open frontend connections", float64(s.Conns))
-		counter("vol_accepted_total", "frames accepted by the frontend", s.Accepted)
-		counter("vol_rejected_total", "frames rejected by the frontend", s.Rejected)
+		w.Gauge("vol_conns", "open frontend connections", float64(s.Conns))
+		w.Counter("vol_accepted_total", "frames accepted by the frontend", float64(s.Accepted))
+		w.Counter("vol_rejected_total", "frames rejected by the frontend", float64(s.Rejected))
 	}
-
-	quantiles := func(name, help string, d stats.DigestSummary) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", name, help, name)
-		for _, q := range []struct {
-			q string
-			v float64
-		}{{"0.5", d.P50}, {"0.95", d.P95}, {"0.99", d.P99}, {"0.999", d.P999}} {
-			fmt.Fprintf(w, "%s{quantile=%q} %v\n", name, q.q, q.v)
-		}
-		fmt.Fprintf(w, "%s_sum %v\n%s_count %d\n", name, d.Mean*float64(d.N), name, d.N)
-	}
-	quantiles("vol_read_latency_us", "simulated read latency across all shards", snap.ReadLat)
-	quantiles("vol_write_latency_us", "simulated write latency across all shards", snap.WriteLat)
+	w.Summary("vol_read_latency_us", "simulated read latency across all shards", snap.ReadLat)
+	w.Summary("vol_write_latency_us", "simulated write latency across all shards", snap.WriteLat)
 
 	// Per-backend serving counters under one scrape, labeled by shard.
 	series := []struct {
@@ -154,9 +130,9 @@ func writePrometheus(w io.Writer, v *Volume, p *Proxy) {
 		{"vol_backend_waf", "backend write amplification", func(b BackendStat) float64 { return b.Snap.WAF }},
 	}
 	for _, s := range series {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", s.name, s.help, s.name)
+		w.Family(s.name, "gauge", s.help)
 		for _, b := range snap.Backends {
-			fmt.Fprintf(w, "%s{backend=%q,addr=%q} %v\n", s.name, strconv.Itoa(b.Backend), b.Addr, s.val(b))
+			w.Sample(s.name, telemetry.PromLabels("backend", strconv.Itoa(b.Backend), "addr", b.Addr), s.val(b))
 		}
 	}
 }
