@@ -10,7 +10,10 @@
 # stage records every latency (TestConcurrentMetricsWiring rides the
 # TestConcurrent prefix). The benchmark in perfbench/ is its own module,
 # outside `go test ./...`, so check vets and tests it separately and then
-# runs a 2-second cluster-mixed smoke that must report a correct run.
+# runs a 2-second cluster-mixed smoke that must report a correct run, and a
+# paper-repro smoke on the pinned held-out seed 7919: it checks the sweep's
+# outcome digest and the 17 reprocheck bands, so an assembler whose choice
+# of any superblock changes fails here.
 
 GO ?= go
 
@@ -30,6 +33,7 @@ check:
 		./internal/ssd ./internal/experiments
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash perfbench/run.sh --workload cluster-mixed --seconds 2 | grep -q '"correct":true'
+	bash perfbench/run.sh --workload paper-repro --seed 7919 --seconds 1 | grep -q '"correct":true'
 	$(MAKE) smoke
 	$(MAKE) storm
 

@@ -179,48 +179,49 @@ func (ByPgmSum) Assemble(lanes []Lane) (Result, error) {
 	return Result{Superblocks: zip(orders)}, nil
 }
 
-// windowed drives the shared window walk: lanes sorted fast-to-slow, and for
-// every superblock a picker chooses one candidate per lane out of the first
-// W unassigned blocks of each lane.
-type windowed struct {
-	window int
-	pick   func(cands [][]*profile.BlockProfile, res *Result) []int
-}
+// picker chooses one candidate per lane for the next superblock. cands[l] is
+// lane l's window: indices into lanes[l].Blocks of its leading unassigned
+// blocks, fastest first. The picker charges res and writes the position
+// within cands[l] of lane l's choice to choice[l]. cands aliases the walk's
+// own bookkeeping and must not be retained.
+type picker func(cands [][]int, choice []int, res *Result)
 
-func (w windowed) assemble(lanes []Lane) (Result, error) {
+// assembleWindowed drives the shared window walk: lanes sorted fast-to-slow,
+// and for every superblock a picker chooses one candidate per lane out of the
+// first window unassigned blocks of each lane. newPicker runs once per call,
+// after the lanes are validated, so per-call picker state may be sized by
+// them.
+func assembleWindowed(lanes []Lane, window int, newPicker func() picker) (Result, error) {
 	if err := checkLanes(lanes); err != nil {
 		return Result{}, err
 	}
-	if w.window <= 0 {
-		return Result{}, fmt.Errorf("assembly: window must be positive, got %d", w.window)
+	if window <= 0 {
+		return Result{}, fmt.Errorf("assembly: window must be positive, got %d", window)
 	}
-	// remaining[l] holds unassigned block indices, fastest first.
-	remaining := make([][]int, len(lanes))
+	nl, n := len(lanes), len(lanes[0].Blocks)
+	// remaining[l] holds unassigned block indices, fastest first; every
+	// window is a prefix of it.
+	remaining := make([][]int, nl)
 	for i, l := range lanes {
 		remaining[i] = orderByKey(l.Blocks, func(b *profile.BlockProfile) float64 { return b.PgmSum })
 	}
-	n := len(lanes[0].Blocks)
-	res := Result{Superblocks: make([][]int, 0, n)}
-	cands := make([][]*profile.BlockProfile, len(lanes))
+	pick := newPicker()
+	res := Result{Superblocks: make([][]int, n)}
+	members := make([]int, n*nl)
+	cands := make([][]int, nl)
+	choice := make([]int, nl)
 	for sb := 0; sb < n; sb++ {
-		ws := w.window
-		if ws > n-sb {
-			ws = n - sb
+		ws := min(window, n-sb)
+		for l := range cands {
+			cands[l] = remaining[l][:ws]
 		}
-		for l := range lanes {
-			cs := make([]*profile.BlockProfile, ws)
-			for i := 0; i < ws; i++ {
-				cs[i] = lanes[l].Blocks[remaining[l][i]]
-			}
-			cands[l] = cs
-		}
-		choice := w.pick(cands, &res)
-		members := make([]int, len(lanes))
+		pick(cands, choice, &res)
+		sbm := members[sb*nl : (sb+1)*nl : (sb+1)*nl]
 		for l, ci := range choice {
-			members[l] = remaining[l][ci]
+			sbm[l] = remaining[l][ci]
 			remaining[l] = append(remaining[l][:ci], remaining[l][ci+1:]...)
 		}
-		res.Superblocks = append(res.Superblocks, members)
+		res.Superblocks[sb] = sbm
 	}
 	return res, nil
 }
@@ -242,14 +243,16 @@ func (o Optimal) Name() string { return fmt.Sprintf("OPTIMAL (%d)", o.Window) }
 
 // Assemble implements Assembler.
 func (o Optimal) Assemble(lanes []Lane) (Result, error) {
-	return windowed{window: o.Window, pick: pickOptimal}.assemble(lanes)
+	return assembleWindowed(lanes, o.Window, func() picker { return newOptimalSearch(lanes).pickOptimal })
 }
 
 // chargeNominal charges the paper's nominal cost of a window search: every
 // combination (the product of the lanes' candidate counts) checks every
-// block pair. Branch-and-bound pruning inside the pickers is a pure
-// implementation speed-up and must not change the reported overhead.
-func chargeNominal(cands [][]*profile.BlockProfile, res *Result) {
+// block pair. The pickers evaluate far less — they prune, screen and cache,
+// speed-ups that cannot change the chosen combination — and that actual work
+// is deliberately not reported: PairChecks and Combos stay the paper's
+// charge, the figures its computing-overhead analysis compares.
+func chargeNominal(cands [][]int, res *Result) {
 	combos := 1
 	for _, cs := range cands {
 		combos *= len(cs)
@@ -258,62 +261,143 @@ func chargeNominal(cands [][]*profile.BlockProfile, res *Result) {
 	res.PairChecks += combos * len(cands) * (len(cands) - 1) / 2
 }
 
-// pickOptimal minimizes the superblock program latency (the sum over
-// word-lines of the running maximum) over the window combinations. It
-// enumerates lane by lane carrying the per-word-line running max; because
-// adding a lane can only raise each word-line's maximum, any partial sum at
-// or above the best total prunes the subtree without changing the result.
-func pickOptimal(cands [][]*profile.BlockProfile, res *Result) []int {
-	nWL := len(cands[0][0].LWL)
-	maxA := make([]float64, nWL)
-	saveMax := make([][]float64, len(cands))
-	for l := range cands {
-		saveMax[l] = make([]float64, nWL)
-	}
-	chargeNominal(cands, res)
-	best := math.Inf(1)
-	bestChoice := make([]int, len(cands))
-	choice := make([]int, len(cands))
+// screenSlack is the relative margin of the local-optimal candidate screen; see
+// pickOptimal.
+const screenSlack = 1e-9
 
-	var walk func(lane int, partial float64)
-	walk = func(lane int, partial float64) {
-		if lane == len(cands) {
-			if partial < best {
-				best = partial
-				copy(bestChoice, choice)
-			}
-			return
+// optimalSearch is the per-call state of the local-optimal window search.
+type optimalSearch struct {
+	lanes  []Lane
+	cands  [][]int
+	choice []int
+	cur    []int // candidate positions of the combination being extended
+	// lvl[k][wl] is the max latency of word-line wl over the blocks chosen
+	// on lanes 0..k: lvl[0] aliases the lane-0 block's LWL and the last
+	// lane's level is never written.
+	lvl  [][]float64
+	best float64
+}
+
+func newOptimalSearch(lanes []Lane) *optimalSearch {
+	nWL := len(lanes[0].Blocks[0].LWL)
+	s := &optimalSearch{lanes: lanes, cur: make([]int, len(lanes)), lvl: make([][]float64, len(lanes))}
+	for k := 1; k < len(lanes)-1; k++ {
+		s.lvl[k] = make([]float64, nWL)
+	}
+	return s
+}
+
+// pickOptimal picks the window combination of minimal superblock program
+// latency — the sum over word-lines of the slowest chosen block's latency —
+// and returns exactly what an exhaustive enumeration would:
+//
+//   - Lanes are enumerated in order and candidates in window order, and the
+//     best is replaced only on a strict <, so of equal totals the
+//     lexicographically first combination wins.
+//   - A combination's latency is accumulated lane by lane in word-line order,
+//     adding each word-line's increment over the running max. Increments are
+//     non-negative, so prefix sums only rise (rounded addition is monotone)
+//     and a partial sum at or above the best total prunes its whole subtree.
+//   - Each candidate is first screened: its increments are summed with four
+//     independent accumulators, stopping as soon as they reach
+//     (best − partial)·(1+ε) + best·ε, ε = 1e-9. The screen and the exact
+//     in-order sum each round by at most n·2⁻⁵³ relative to best for n
+//     word-lines, far inside ε, so a candidate the screen drops would fail
+//     the exact test too.
+//   - A surviving candidate is re-summed in word-line order from partial —
+//     the same rounded additions as the unpruned search — and kept on a
+//     strict <. Inner lanes write their level lvl[k] = max(lvl[k-1], LWL) in
+//     that same pass, so nothing is saved or restored; the last lane writes
+//     nothing.
+func (s *optimalSearch) pickOptimal(cands [][]int, choice []int, res *Result) {
+	chargeNominal(cands, res)
+	s.cands, s.choice, s.best = cands, choice, math.Inf(1)
+	for ci, bi := range cands[0] {
+		b := s.lanes[0].Blocks[bi]
+		if b.PgmSum >= s.best {
+			continue
 		}
-		for ci, b := range cands[lane] {
-			newPartial := partial
-			if lane == 0 {
-				copy(maxA, b.LWL)
-				newPartial = b.PgmSum
-				if newPartial >= best {
-					continue
-				}
-			} else {
-				copy(saveMax[lane], maxA)
-				for wl, v := range b.LWL {
-					if v > maxA[wl] {
-						newPartial += v - maxA[wl]
-						maxA[wl] = v
-					}
-				}
-				if newPartial >= best {
-					copy(maxA, saveMax[lane])
-					continue
-				}
+		s.cur[0] = ci
+		if len(cands) == 1 { // lane 0 is also the last lane
+			s.best = b.PgmSum
+			copy(choice, s.cur)
+			continue
+		}
+		s.lvl[0] = b.LWL
+		s.walk(1, b.PgmSum)
+	}
+}
+
+// walk extends the combination chosen on lanes 0..k-1, whose level is
+// lvl[k-1] and latency partial, by every candidate of lane k.
+func (s *optimalSearch) walk(k int, partial float64) {
+	prev := s.lvl[k-1]
+	last := k == len(s.cands)-1
+	limit := (s.best-partial)*(1+screenSlack) + s.best*screenSlack
+	for ci, bi := range s.cands[k] {
+		lwl := s.lanes[k].Blocks[bi].LWL
+		prev := prev[:len(lwl)]
+		if screenReaches(lwl, prev, limit) {
+			continue
+		}
+		sum := partial
+		if last {
+			for wl, v := range lwl {
+				sum += increment(v, prev[wl])
 			}
-			choice[lane] = ci
-			walk(lane+1, newPartial)
-			if lane > 0 {
-				copy(maxA, saveMax[lane])
+		} else {
+			next := s.lvl[k][:len(lwl)]
+			for wl, v := range lwl {
+				m := max(v, prev[wl])
+				sum += m - prev[wl]
+				next[wl] = m
 			}
+		}
+		if sum >= s.best {
+			continue
+		}
+		s.cur[k] = ci
+		if last {
+			s.best = sum
+			copy(s.choice, s.cur)
+		} else {
+			s.walk(k+1, sum)
+		}
+		limit = (s.best-partial)*(1+screenSlack) + s.best*screenSlack
+	}
+}
+
+// increment is how far v raises a word-line whose running max is m: v − m if
+// v > m, else +0 (adding +0 leaves a positive sum unchanged). It clears the
+// difference's bits when its sign bit is set instead of branching, since
+// which blocks are slower on a word-line is unpredictable.
+func increment(v, m float64) float64 {
+	b := math.Float64bits(v - m)
+	return math.Float64frombits(b &^ uint64(int64(b)>>63))
+}
+
+// screenReaches reports whether the increments of lwl over prev sum to at
+// least limit. It keeps four independent accumulators and compares their
+// total every 16 word-lines, so most candidates stop early.
+func screenReaches(lwl, prev []float64, limit float64) bool {
+	prev = prev[:len(lwl)]
+	var a0, a1, a2, a3 float64
+	wl := 0
+	for ; wl+16 <= len(lwl); wl += 16 {
+		for j := wl; j < wl+16; j += 4 {
+			a0 += increment(lwl[j], prev[j])
+			a1 += increment(lwl[j+1], prev[j+1])
+			a2 += increment(lwl[j+2], prev[j+2])
+			a3 += increment(lwl[j+3], prev[j+3])
+		}
+		if (a0+a1)+(a2+a3) >= limit {
+			return true
 		}
 	}
-	walk(0, 0)
-	return bestChoice
+	for ; wl < len(lwl); wl++ {
+		a0 += increment(lwl[wl], prev[wl])
+	}
+	return (a0+a1)+(a2+a3) >= limit
 }
 
 // RankKind selects which rank vector a rank-based assembler compares.
@@ -348,31 +432,25 @@ type Ranked struct {
 // Name implements Assembler.
 func (r Ranked) Name() string { return fmt.Sprintf("%s (%d)", r.Kind, r.Window) }
 
-// Assemble implements Assembler.
+// Assemble implements Assembler. An unknown Kind is an error.
 func (r Ranked) Assemble(lanes []Lane) (Result, error) {
-	ranks := make(map[*profile.BlockProfile][]int)
-	rankOf := func(b *profile.BlockProfile) []int {
-		if v, ok := ranks[b]; ok {
-			return v
-		}
-		var v []int
-		switch r.Kind {
-		case LWLRank:
-			v = b.LWLRanks()
-		case PWLRank:
-			v = b.PWLRanks()
-		case STRRank:
-			v = b.STRRanks()
-		default:
-			panic(fmt.Sprintf("assembly: unknown rank kind %d", int(r.Kind)))
-		}
-		ranks[b] = v
-		return v
+	var rankOf func(*profile.BlockProfile) []int
+	switch r.Kind {
+	case LWLRank:
+		rankOf = (*profile.BlockProfile).LWLRanks
+	case PWLRank:
+		rankOf = (*profile.BlockProfile).PWLRanks
+	case STRRank:
+		rankOf = (*profile.BlockProfile).STRRanks
+	default:
+		return Result{}, fmt.Errorf("assembly: unknown rank kind %d", int(r.Kind))
 	}
-	dist := func(a, b *profile.BlockProfile) float64 {
-		return float64(profile.RankDistance(rankOf(a), rankOf(b)))
-	}
-	return windowed{window: r.Window, pick: pairwisePicker(dist)}.assemble(lanes)
+	return assembleWindowed(lanes, r.Window, func() picker {
+		ranks := perBlock(lanes, rankOf)
+		return newPairSearch(lanes, func(l1, i1, l2, i2 int) int {
+			return profile.RankDistance(ranks[l1][i1], ranks[l2][i2])
+		}).pairwisePicker
+	})
 }
 
 // STRMedian is the STR-median assembly (§IV-A8): 1-bit string ranks compared
@@ -386,70 +464,100 @@ func (s STRMedian) Name() string { return fmt.Sprintf("STR-MED (%d)", s.Window) 
 
 // Assemble implements Assembler.
 func (s STRMedian) Assemble(lanes []Lane) (Result, error) {
-	eigens := make(map[*profile.BlockProfile]profile.Eigen)
-	eigenOf := func(b *profile.BlockProfile) profile.Eigen {
-		if v, ok := eigens[b]; ok {
-			return v
-		}
-		v := profile.EigenFromProfile(b)
-		eigens[b] = v
-		return v
-	}
-	dist := func(a, b *profile.BlockProfile) float64 {
-		return float64(eigenOf(a).Distance(eigenOf(b)))
-	}
-	return windowed{window: s.Window, pick: pairwisePicker(dist)}.assemble(lanes)
+	return assembleWindowed(lanes, s.Window, func() picker {
+		eigens := perBlock(lanes, profile.EigenFromProfile)
+		return newPairSearch(lanes, func(l1, i1, l2, i2 int) int {
+			return eigens[l1][i1].Distance(eigens[l2][i2])
+		}).pairwisePicker
+	})
 }
 
-// pairwisePicker minimizes the total pairwise distance over all window
-// combinations. Distances are cached per candidate pair, but PairChecks is
-// charged per combination (the paper's accounting: every combination checks
-// every pair).
-func pairwisePicker(dist func(a, b *profile.BlockProfile) float64) func([][]*profile.BlockProfile, *Result) []int {
-	// The cache persists across windows: consecutive windows share most of
-	// their candidates, so distances are computed once per block pair over
-	// the whole assembly. PairChecks accounting is unaffected (chargeNominal
-	// counts the paper's nominal combination costs).
-	type pairKey struct{ a, b *profile.BlockProfile }
-	cache := make(map[pairKey]float64)
-	return func(cands [][]*profile.BlockProfile, res *Result) []int {
-		chargeNominal(cands, res)
-		nl := len(cands)
-		pair := func(l1, c1, l2, c2 int) float64 {
-			k := pairKey{cands[l1][c1], cands[l2][c2]}
-			if v, ok := cache[k]; ok {
-				return v
-			}
-			v := dist(k.a, k.b)
-			cache[k] = v
-			return v
+// perBlock derives f of every block of every lane, indexed [lane][block].
+// Every block of a multi-lane assembly is eventually a chosen candidate whose
+// distances were taken, so deriving all of them up front does no extra work.
+func perBlock[T any](lanes []Lane, f func(*profile.BlockProfile) T) [][]T {
+	out := make([][]T, len(lanes))
+	for l, lane := range lanes {
+		out[l] = make([]T, len(lane.Blocks))
+		for i, b := range lane.Blocks {
+			out[l][i] = f(b)
 		}
-		best := math.Inf(1)
-		bestChoice := make([]int, nl)
-		choice := make([]int, nl)
-		var walk func(lane int, partial float64)
-		walk = func(lane int, partial float64) {
-			if lane == nl {
-				if partial < best {
-					best = partial
-					copy(bestChoice, choice)
-				}
-				return
-			}
-			for ci := range cands[lane] {
-				d := partial
-				for l2 := 0; l2 < lane; l2++ {
-					d += pair(l2, choice[l2], lane, ci)
-				}
-				if d >= best {
-					continue
-				}
-				choice[lane] = ci
-				walk(lane+1, d)
-			}
+	}
+	return out
+}
+
+// pairSearch is the per-call state of the pairwise-distance window search.
+type pairSearch struct {
+	n    int // blocks per lane
+	dist func(l1, i1, l2, i2 int) int
+	// table caches the distance between block i1 of lane l1 and block i2 of
+	// lane l2 (l1 < l2) at [((l2·(l2−1)/2 + l1)·n + i1)·n + i2]; −1 marks
+	// a pair not computed yet. It lives for one Assemble call: consecutive
+	// windows share most of their candidates, so each pair is computed once.
+	table  []int32
+	cands  [][]int
+	choice []int
+	cur    []int   // candidate positions of the combination being extended
+	rows   [][]int // rows[k][l1]: table offset of lane l1's chosen block against lane k
+	best   int
+}
+
+func newPairSearch(lanes []Lane, dist func(l1, i1, l2, i2 int) int) *pairSearch {
+	nl, n := len(lanes), len(lanes[0].Blocks)
+	s := &pairSearch{n: n, dist: dist, table: make([]int32, nl*(nl-1)/2*n*n),
+		cur: make([]int, nl), rows: make([][]int, nl)}
+	for i := range s.table {
+		s.table[i] = -1
+	}
+	for k := range s.rows {
+		s.rows[k] = make([]int, k)
+	}
+	return s
+}
+
+// pairwisePicker picks the window combination of minimal total pairwise
+// distance and returns exactly what an exhaustive enumeration would:
+// distances are non-negative integers summed exactly, so a partial total at
+// or above the best prunes its subtree without changing the result; lanes
+// and candidates are enumerated in order and the best is replaced only on a
+// strict <, so of equal totals the lexicographically first combination wins.
+// The table only avoids recomputing a pair; chargeNominal still charges
+// every combination the paper's per-pair checks.
+func (s *pairSearch) pairwisePicker(cands [][]int, choice []int, res *Result) {
+	chargeNominal(cands, res)
+	s.cands, s.choice, s.best = cands, choice, math.MaxInt
+	s.walk(0, 0)
+}
+
+// walk extends the combination chosen on lanes 0..k-1, whose total distance
+// is partial, by every candidate of lane k.
+func (s *pairSearch) walk(k, partial int) {
+	if k == len(s.cands) {
+		if partial < s.best {
+			s.best = partial
+			copy(s.choice, s.cur)
 		}
-		walk(0, 0)
-		return bestChoice
+		return
+	}
+	rows := s.rows[k]
+	for l1 := range rows {
+		rows[l1] = (k*(k-1)/2+l1)*s.n*s.n + s.cands[l1][s.cur[l1]]*s.n
+	}
+	for ci, bi := range s.cands[k] {
+		d := partial
+		for l1, row := range rows {
+			t := s.table[row+bi]
+			if t < 0 {
+				t = int32(s.dist(l1, s.cands[l1][s.cur[l1]], k, bi))
+				s.table[row+bi] = t
+			}
+			d += int(t)
+		}
+		if d >= s.best {
+			continue
+		}
+		s.cur[k] = ci
+		s.walk(k+1, d)
 	}
 }
 

@@ -86,6 +86,13 @@ func TestOptimalRejectsBadWindow(t *testing.T) {
 	}
 }
 
+func TestRankedRejectsUnknownKind(t *testing.T) {
+	lanes := modelLanes(t, 2, 4, 3)
+	if _, err := (Ranked{Kind: RankKind(9), Window: 4}).Assemble(lanes); err == nil {
+		t.Fatal("unknown rank kind should fail")
+	}
+}
+
 func TestSequentialPairsSameIndex(t *testing.T) {
 	lanes := modelLanes(t, 3, 8, 5)
 	res, err := Sequential{}.Assemble(lanes)
@@ -370,6 +377,19 @@ func BenchmarkOptimalWindow8(b *testing.B) {
 		if _, err := (Optimal{Window: 8}).Assemble(lanes); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkRankedWindow8(b *testing.B) {
+	lanes := modelLanes(b, 4, 32, 1)
+	for _, kind := range []RankKind{LWLRank, STRRank} {
+		b.Run(kind.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := (Ranked{Kind: kind, Window: 8}).Assemble(lanes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,27 +54,20 @@ func NewBlockProfile(lane, block, layers, strs int, lwl []float64, erase float64
 
 func (p *BlockProfile) lwlIndex(layer, str int) int { return layer*p.Strings + str }
 
-// rankWithTies assigns competition ranks (ties share the lowest rank) to the
-// values at the given indices, ordered ascending by value. The quantized
-// latency grid of real chips (Fig. 9) makes ties common, and rank-equality
-// distances only carry information when ties exist.
-func rankWithTies(values []float64, idx []int) []int {
-	order := make([]int, len(idx))
-	copy(order, idx)
-	sort.SliceStable(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
-	ranks := make([]int, len(idx))
-	pos := make(map[int]int, len(idx))
-	for i, v := range idx {
-		pos[v] = i
+// rankWithTies writes competition ranks (ties share the lowest rank) of the
+// values at the given indices to out[idx[p]], ranking ascending by value. A
+// competition rank is the number of strictly smaller values, so it is read off
+// as the lower bound of the value in a sorted copy; sorted is scratch of
+// len(idx). The quantized latency grid of real chips (Fig. 9) makes ties
+// common, and rank-equality distances only carry information when ties exist.
+func rankWithTies(values []float64, idx []int, sorted []float64, out []int) {
+	for p, i := range idx {
+		sorted[p] = values[i]
 	}
-	rank := 0
-	for i, v := range order {
-		if i > 0 && values[v] != values[order[i-1]] {
-			rank = i
-		}
-		ranks[pos[v]] = rank
+	slices.Sort(sorted)
+	for _, i := range idx {
+		out[i], _ = slices.BinarySearch(sorted, values[i])
 	}
-	return ranks
 }
 
 // LWLRanks ranks all logical word-lines of the block by program latency
@@ -83,7 +77,9 @@ func (p *BlockProfile) LWLRanks() []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	return rankWithTies(p.LWL, idx)
+	out := make([]int, len(p.LWL))
+	rankWithTies(p.LWL, idx, make([]float64, len(idx)), out)
+	return out
 }
 
 // PWLRanks ranks, within each string, the physical word-line layers by
@@ -91,14 +87,12 @@ func (p *BlockProfile) LWLRanks() []int {
 func (p *BlockProfile) PWLRanks() []int {
 	out := make([]int, len(p.LWL))
 	idx := make([]int, p.Layers)
+	sorted := make([]float64, p.Layers)
 	for s := 0; s < p.Strings; s++ {
 		for l := 0; l < p.Layers; l++ {
 			idx[l] = p.lwlIndex(l, s)
 		}
-		ranks := rankWithTies(p.LWL, idx)
-		for l := 0; l < p.Layers; l++ {
-			out[idx[l]] = ranks[l]
-		}
+		rankWithTies(p.LWL, idx, sorted, out)
 	}
 	return out
 }
@@ -108,14 +102,12 @@ func (p *BlockProfile) PWLRanks() []int {
 func (p *BlockProfile) STRRanks() []int {
 	out := make([]int, len(p.LWL))
 	idx := make([]int, p.Strings)
+	sorted := make([]float64, p.Strings)
 	for l := 0; l < p.Layers; l++ {
 		for s := 0; s < p.Strings; s++ {
 			idx[s] = p.lwlIndex(l, s)
 		}
-		ranks := rankWithTies(p.LWL, idx)
-		for s := 0; s < p.Strings; s++ {
-			out[idx[s]] = ranks[s]
-		}
+		rankWithTies(p.LWL, idx, sorted, out)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -336,6 +337,72 @@ func TestRanksArePermutationLike(t *testing.T) {
 			if r < 0 || r >= p.Strings {
 				t.Fatalf("layer %d: rank %d out of range", l, r)
 			}
+		}
+	}
+}
+
+// refRanks is the plain competition ranking: stably sort the indices by
+// value, then give each run of equal values the sorted position of its first
+// member.
+func refRanks(values []float64, idx []int) []int {
+	order := append([]int(nil), idx...)
+	sort.SliceStable(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
+	rankOf := make(map[int]int, len(idx))
+	rank := 0
+	for i, v := range order {
+		if i > 0 && values[v] != values[order[i-1]] {
+			rank = i
+		}
+		rankOf[v] = rank
+	}
+	out := make([]int, len(idx))
+	for i, v := range idx {
+		out[i] = rankOf[v]
+	}
+	return out
+}
+
+func TestRanksMatchStableSortReference(t *testing.T) {
+	// A 40 µs grid on a 10 µs jitter makes equal latencies common.
+	for seed := uint64(1); seed <= 50; seed++ {
+		const layers, strs = 8, 4
+		src := prng.New(seed, 0, 0)
+		lwl := make([]float64, layers*strs)
+		for i := range lwl {
+			lwl[i] = 40 * math.Round((1600+src.Normal()*30)/40)
+		}
+		p := NewBlockProfile(0, 0, layers, strs, lwl, 0, 0)
+		want := make([]int, len(lwl))
+		all := make([]int, len(lwl))
+		for i := range all {
+			all[i] = i
+		}
+		if got := p.LWLRanks(); !slices.Equal(got, refRanks(lwl, all)) {
+			t.Fatalf("seed %d: LWLRanks %v, want %v", seed, got, refRanks(lwl, all))
+		}
+		for s := 0; s < strs; s++ {
+			idx := make([]int, layers)
+			for l := range idx {
+				idx[l] = l*strs + s
+			}
+			for k, r := range refRanks(lwl, idx) {
+				want[idx[k]] = r
+			}
+		}
+		if got := p.PWLRanks(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: PWLRanks %v, want %v", seed, got, want)
+		}
+		for l := 0; l < layers; l++ {
+			idx := make([]int, strs)
+			for s := range idx {
+				idx[s] = l*strs + s
+			}
+			for k, r := range refRanks(lwl, idx) {
+				want[idx[k]] = r
+			}
+		}
+		if got := p.STRRanks(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: STRRanks %v, want %v", seed, got, want)
 		}
 	}
 }
